@@ -54,8 +54,10 @@
 //!   differential oracle.
 //! * `--chaos`: adds misbehaving clients (malformed JSON, nesting
 //!   bombs, half-written requests, mid-request disconnects, slow
-//!   readers) alongside the well-behaved ones; the gates still demand
-//!   zero differential mismatches and zero daemon panics/deaths.
+//!   readers, `--server-workers` idle connections held open while one
+//!   more must be answered within 1 s, a request line that never ends)
+//!   alongside the well-behaved ones; the gates still demand zero
+//!   differential mismatches and zero daemon panics/deaths.
 //!
 //! Exit status is 0 only if every gate passes: no byte mismatches, no
 //! server-side panics, no unexpected chaos outcomes, and (when the
@@ -74,6 +76,7 @@ use tbaa_bench::load::{
 use tbaa_bench::rng::XorShift64;
 use tbaa_router::{BackendSpec, Router, RouterConfig, RouterHandle, RouterState};
 use tbaa_server::json::{parse, Value};
+use tbaa_server::net::MAX_LINE_BYTES;
 use tbaa_server::ServerConfig;
 
 // ---- configuration ---------------------------------------------------------
@@ -577,7 +580,7 @@ fn run_open(
                 }
             }
             Ok(Tick::Idle(_)) => {}
-            Ok(Tick::Eof) | Err(_) => {
+            Ok(Tick::TooLong) | Ok(Tick::Eof) | Err(_) => {
                 if !inflight.is_empty() || Instant::now() < deadline {
                     out.io_errors += 1;
                 }
@@ -1043,14 +1046,38 @@ fn expect_error(endpoint: &Endpoint, line: &str, kind: &'static str, out: &mut C
     }
 }
 
+/// A fresh connection's `stats` must be answered within `within`.
+fn expect_answer(endpoint: &Endpoint, within: Duration, kind: &'static str, out: &mut ChaosResult) {
+    let Ok(mut wire) = endpoint.connect() else {
+        out.surprise(format!("{kind}: connect failed"));
+        return;
+    };
+    let _ = wire.set_read_timeout(Some(within));
+    if wire.write_line(r#"{"op":"stats"}"#).is_err() {
+        out.surprise(format!("{kind}: write failed"));
+        return;
+    }
+    match LineSource::new(wire).read_line_strict() {
+        Ok(raw) if raw.contains(r#""ok":true"#) => {}
+        Ok(raw) => out.surprise(format!("{kind}: expected stats, got {raw}")),
+        Err(e) => out.surprise(format!("{kind}: no reply within {within:?} ({e})")),
+    }
+}
+
 /// One misbehaving client: cycles random protocol abuse until the
 /// deadline. Every behavior states its contract; breaking it counts as
-/// `unexpected` and fails the run.
-fn run_chaos(endpoint: &Endpoint, seed: u64, deadline: Instant) -> ChaosResult {
+/// `unexpected` and fails the run. `server_workers` is the daemon's
+/// `--workers`.
+fn run_chaos(
+    endpoint: &Endpoint,
+    seed: u64,
+    deadline: Instant,
+    server_workers: usize,
+) -> ChaosResult {
     let mut rng = XorShift64::new(seed);
     let mut out = ChaosResult::default();
     while Instant::now() < deadline {
-        match rng.below(7) {
+        match rng.below(9) {
             // Unparseable garbage → structured parse error, connection lives.
             0 => expect_error(endpoint, "this is } not { json", "garbage", &mut out),
             // A nesting bomb → parse error, NOT a stack-overflow abort.
@@ -1079,7 +1106,8 @@ fn run_chaos(endpoint: &Endpoint, seed: u64, deadline: Instant) -> ChaosResult {
                 }
             }
             // Half a request, then vanish. No reply owed; the server must
-            // just not wedge a worker (the io_timeout reaps us).
+            // just not wedge (EOF, or else the io_timeout, ends the
+            // connection).
             4 => {
                 out.bump("half_request");
                 if let Ok(mut wire) = endpoint.connect() {
@@ -1095,6 +1123,40 @@ fn run_chaos(endpoint: &Endpoint, seed: u64, deadline: Instant) -> ChaosResult {
                 if let Ok(mut wire) = endpoint.connect() {
                     let _ = wire.write_line(r#"{"op":"stats"}"#);
                 }
+            }
+            // As many idle connections as the daemon has workers: they
+            // hold parked threads, not workers, so one more connection is
+            // still answered promptly.
+            7 => {
+                out.bump("idle_hold");
+                let idle: Vec<Wire> = (0..server_workers)
+                    .filter_map(|_| endpoint.connect().ok())
+                    .collect();
+                expect_answer(endpoint, Duration::from_secs(1), "idle_hold", &mut out);
+                drop(idle);
+            }
+            // A line that never ends: refused with `line_too_long` once
+            // it passes the cap, and the daemon keeps answering.
+            8 => {
+                out.bump("endless_line");
+                let Ok(mut wire) = endpoint.connect() else {
+                    out.surprise("endless_line: connect failed".into());
+                    continue;
+                };
+                use std::io::Write as _;
+                // Exactly one byte past the cap, so the daemon reads every
+                // byte sent before it closes (no reset on TCP).
+                if wire.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]).is_err() {
+                    out.surprise("endless_line: write failed before the cap".into());
+                    continue;
+                }
+                let _ = wire.set_read_timeout(Some(Duration::from_secs(10)));
+                match LineSource::new(wire).read_line_strict() {
+                    Ok(raw) if raw.contains(r#""kind":"line_too_long""#) => {}
+                    Ok(raw) => out.surprise(format!("endless_line: got {raw}")),
+                    Err(e) => out.surprise(format!("endless_line: no reply ({e})")),
+                }
+                expect_answer(endpoint, Duration::from_secs(10), "endless_line", &mut out);
             }
             // Slow reader: pipeline several requests, dawdle over the
             // replies. All of them must still arrive, in order.
@@ -1369,13 +1431,14 @@ fn main() -> ExitCode {
 
     let mut chaos_handles = Vec::new();
     if cfg.chaos {
+        let server_workers = cfg.server_workers;
         for c in 0..cfg.chaos_clients {
             let endpoint = endpoint.clone();
             let seed = cfg.seed.wrapping_add(0x1000 + c as u64);
             chaos_handles.push(
                 std::thread::Builder::new()
                     .name(format!("loadgen-chaos-{c}"))
-                    .spawn(move || run_chaos(&endpoint, seed, deadline))
+                    .spawn(move || run_chaos(&endpoint, seed, deadline, server_workers))
                     .expect("spawn chaos client"),
             );
         }

@@ -72,7 +72,7 @@ pub fn count_alias_pairs(
     prog: &Program,
     analysis: &(dyn AliasAnalysis + Sync),
 ) -> AliasPairCounts {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = tbaa_ir::host_cores();
     count_alias_pairs_with_threads(prog, analysis, threads)
 }
 
@@ -178,7 +178,7 @@ pub struct CensusReport {
 /// references interned after the engine compiled). Counts are exactly
 /// equal on both paths. Uses every available core.
 pub fn census_alias_pairs(prog: &Program, engine: &CompiledAliasEngine) -> CensusReport {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = tbaa_ir::host_cores();
     census_alias_pairs_with_threads(prog, engine, threads)
 }
 

@@ -36,9 +36,9 @@ pub mod symbols;
 
 pub use ir::{Function, HeapRefRows, Instr, Program};
 pub use lower::{
-    effective_workers, effective_workers_for, lower_parallel, lower_parallel_with_workers,
-    lower_unit_detached, lower_units_detached, DetachedUnit, FuncEffects, FuncLowering,
-    ModuleLowerer,
+    effective_workers, effective_workers_for, host_cores, lower_parallel,
+    lower_parallel_with_workers, lower_unit_detached, lower_units_detached, DetachedUnit,
+    FuncEffects, FuncLowering, ModuleLowerer,
 };
 pub use path::{AccessPath, ApId, ApTable, ApView, FuncId, VarId};
 pub use symbols::{Symbol, SymbolTable};

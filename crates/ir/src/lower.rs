@@ -58,14 +58,16 @@ pub fn lower(checked: CheckedModule) -> Result<Program, Diagnostics> {
 /// thread-spawn overhead without any parallel speedup, so it always runs
 /// serial (the `pairs.scaling` regression this fixes).
 pub fn effective_workers(requested: usize, items: usize) -> usize {
-    // `available_parallelism` re-parses cgroup quotas on every call
-    // (~10µs on Linux) — far too slow for per-query kernels that route
-    // their thread clamp through here. The core count is fixed for the
-    // process lifetime, so resolve it once.
+    effective_workers_for(requested, items, host_cores())
+}
+
+/// The host's core count, `available_parallelism` resolved once per
+/// process. The call re-parses cgroup quotas every time (tens of µs on
+/// Linux) — far too slow for the per-query kernels that size their
+/// fan-out by it — and the count is fixed for the process lifetime.
+pub fn host_cores() -> usize {
     static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    let cores =
-        *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    effective_workers_for(requested, items, cores)
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Pure core of [`effective_workers`], parameterized on the core count so

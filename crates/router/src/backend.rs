@@ -23,7 +23,7 @@ pub enum BackendSpec {
     Spawn {
         /// Path to the `tbaad` binary.
         bin: PathBuf,
-        /// Worker threads per backend.
+        /// Requests executing at once per backend (its `--workers`).
         workers: usize,
         /// Session capacity per backend.
         capacity: usize,
@@ -170,8 +170,8 @@ impl BackendHost for InProcessHost {
 
     fn kill(&mut self) {
         // Thread-backed servers cannot be killed harder than a drain:
-        // the flag stops the accept loop and every pooled connection
-        // gets EOF once its worker drains.
+        // it stops the accept threads at once, and every pooled
+        // connection gets EOF when the grace window ends.
         self.stop();
     }
 

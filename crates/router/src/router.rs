@@ -21,13 +21,13 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use tbaa_server::json::{parse, Value};
 use tbaa_server::metrics::{Counter, Histogram, Registry, LATENCY_US_BUCKETS};
-use tbaa_server::net::{self, Conn, DualListener, LineReader, LineService, ServeOptions};
+use tbaa_server::net::{self, Conn, Drain, DualListener, LineReader, LineService, ServeOptions};
 use tbaa_server::proto::{self, decode_request, error_reply, ok_reply, ProtoError, Request};
 use tbaa_server::session::{content_hash, SessionKey};
 
@@ -41,7 +41,9 @@ pub struct RouterConfig {
     pub addr: String,
     /// Optional Unix-domain socket path (unix only; ignored elsewhere).
     pub unix_path: Option<std::path::PathBuf>,
-    /// Worker count == maximum concurrently served client connections.
+    /// Requests executing at once. An idle client connection holds a
+    /// parked thread, not a worker; open connections are capped at
+    /// [`net::CONNECTIONS_PER_WORKER`] times this.
     pub workers: usize,
     /// Requested shard count (`Attach` specs override it with their
     /// address count).
@@ -50,7 +52,8 @@ pub struct RouterConfig {
     pub vnodes: usize,
     /// Per-exchange backend I/O timeout (and client I/O timeout).
     pub io_timeout: Duration,
-    /// Post-shutdown drain window per client connection.
+    /// How long open client connections are still served after
+    /// `shutdown` before their reads are shut down.
     pub drain_grace: Duration,
     /// Retries per request after the first failed exchange.
     pub max_retries: u32,
@@ -107,7 +110,7 @@ impl RouterConfigBuilder {
         self
     }
 
-    /// Worker count == maximum concurrently served client connections.
+    /// Requests executing at once.
     pub fn workers(mut self, n: usize) -> Self {
         self.config.workers = n;
         self
@@ -131,7 +134,7 @@ impl RouterConfigBuilder {
         self
     }
 
-    /// Post-shutdown drain window per client connection.
+    /// Post-shutdown drain window.
     pub fn drain_grace(mut self, d: Duration) -> Self {
         self.config.drain_grace = d;
         self
@@ -208,7 +211,7 @@ pub struct RouterState {
     ring: Ring,
     sessions: Mutex<SessionTable>,
     metrics: Arc<Registry>,
-    shutdown: AtomicBool,
+    drain: Arc<Drain>,
     started: Instant,
     io_timeout: Duration,
     max_retries: u32,
@@ -218,12 +221,13 @@ pub struct RouterState {
 impl RouterState {
     /// Whether shutdown has been requested.
     pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.drain.is_draining()
     }
 
-    /// Requests shutdown (same effect as the wire verb).
+    /// Requests shutdown (same effect as the wire verb): stops the
+    /// accept threads at once and starts the drain.
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.drain.trigger();
     }
 
     /// The router's own metrics registry.
@@ -321,7 +325,7 @@ impl Router {
             ring: Ring::new(shard_count, config.vnodes),
             sessions: Mutex::new(SessionTable::default()),
             metrics,
-            shutdown: AtomicBool::new(false),
+            drain: listener.drain(),
             started,
             io_timeout: config.io_timeout,
             max_retries: config.max_retries,
@@ -371,6 +375,10 @@ impl Router {
         };
         let result = net::serve(listener, opts, Arc::new(RouterService(state.clone())));
         for shard in &state.shards {
+            // Closing the pooled connections first lets an owned
+            // backend's drain end at once instead of waiting out its
+            // grace window.
+            shard.pool.lock().expect("pool poisoned").clear();
             shard.host.lock().expect("host poisoned").shutdown();
         }
         result
@@ -387,10 +395,6 @@ impl LineService for RouterService {
 
     fn handle_batch(&self, lines: &[String], out: &mut String) {
         route_batch(&self.0, lines, out);
-    }
-
-    fn draining(&self) -> bool {
-        self.0.is_shutting_down()
     }
 
     fn on_connect(&self) {

@@ -7,7 +7,8 @@
 //!   --addr             TCP bind address (default 127.0.0.1:4980; use :0 for
 //!                      an ephemeral port — the chosen one is printed)
 //!   --socket           additionally serve a Unix-domain socket (unix only)
-//!   --workers          worker threads == max concurrent connections (default 16)
+//!   --workers          requests executing at once (default 16); open
+//!                      connections are capped at 64 per worker
 //!   --capacity         max cached sessions before LRU eviction (default 32)
 //!   --journal-dir      durable session journal: admitted loads are logged
 //!                      here and replayed on restart (crash recovery)

@@ -121,6 +121,7 @@ impl Client {
                 "timed out waiting for reply",
             ))),
             Ok(Tick::Eof) => Err(ClientError::Protocol("server closed the connection".into())),
+            Ok(Tick::TooLong) => Err(ClientError::Protocol("reply line too long".into())),
             Err(e) => Err(ClientError::Io(e)),
         }
     }

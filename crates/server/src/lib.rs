@@ -35,8 +35,9 @@
 //!   [`tbaa::memo::Memo`] (the same exactly-once discipline as the
 //!   evaluation engine in `crates/bench`);
 //! * [`net`] — the shared transport layer (duplex connections, line
-//!   readers, dual TCP/Unix listeners, the accept-loop/worker-pool
-//!   skeleton) used by both `tbaad` and `tbaa-router`;
+//!   readers, dual TCP/Unix listeners, and the connection model: accept
+//!   threads, a thread per connection, compute permits per batch, drain)
+//!   used by both `tbaad` and `tbaa-router`;
 //! * [`journal`] — the durable session journal (`--journal-dir`):
 //!   checksummed write-ahead log of admitted loads, compaction, and
 //!   crash recovery that replays the surviving prefix through the
@@ -64,9 +65,6 @@ pub mod proto;
 pub mod reply;
 pub mod server;
 pub mod session;
-
-#[allow(deprecated)]
-pub use server::Config;
 
 pub use client::{Client, ClientError};
 pub use metrics::Registry;

@@ -26,10 +26,15 @@ pub enum ErrCode {
     NoSession,
     /// An access path the session's program does not contain.
     UnknownPath,
-    /// The request panicked server-side (contained; worker lives on).
+    /// The request panicked server-side (contained; the connection lives on).
     Panic,
     /// A router could not reach the owning backend after retries.
     Unavailable,
+    /// The server was at its connection cap; the connection was closed.
+    Overloaded,
+    /// The request line passed `net::MAX_LINE_BYTES`; the connection
+    /// was closed.
+    LineTooLong,
     /// Any kind this client does not know.
     Other,
 }
@@ -46,6 +51,8 @@ impl ErrCode {
             "unknown_path" => ErrCode::UnknownPath,
             "panic" => ErrCode::Panic,
             "unavailable" => ErrCode::Unavailable,
+            "overloaded" => ErrCode::Overloaded,
+            "line_too_long" => ErrCode::LineTooLong,
             _ => ErrCode::Other,
         }
     }

@@ -1,27 +1,26 @@
-//! The `tbaad` daemon: accept loop, worker pool, request dispatch.
+//! The `tbaad` daemon: configuration, server lifecycle, request dispatch.
 //!
 //! Clients speak the newline-delimited JSON protocol of [`crate::proto`]
 //! over TCP (always) and, on unix, optionally over a Unix-domain socket.
-//! The accept loop, worker pool, and connection plumbing live in
-//! [`crate::net`] (shared with `tbaa-router`); this module owns request
-//! dispatch against the session store.
+//! The accept threads, connection threads, compute permits and drain
+//! live in [`crate::net`] (shared with `tbaa-router`); this module owns
+//! request dispatch against the session store.
 //!
 //! Failure isolation: every request is dispatched inside
 //! [`std::panic::catch_unwind`], so a panicking compile or analysis
 //! produces a structured `{"ok":false,"error":{"kind":"panic",..}}`
-//! reply and the worker lives on — one poisoned request can never take
-//! down another client's session (the session cache's memo slots are
-//! panic-safe: a panicked build leaves the slot unset for retry).
+//! reply and the connection lives on — one poisoned request can never
+//! take down another client's session (the session cache's memo slots
+//! are panic-safe: a panicked build leaves the slot unset for retry).
 //!
-//! Shutdown is graceful: the `shutdown` verb flips a flag; the accept
-//! loop stops taking connections, and each worker *drains* its
-//! connection — requests already sent (buffered in the socket) are still
-//! served and replied to — before closing. [`Server::run`] returns once
-//! every worker has drained.
+//! Shutdown is graceful: the `shutdown` verb triggers the listener's
+//! [`Drain`]; the accept threads stop taking connections, and open
+//! connections keep being served for `drain_grace` — requests already
+//! sent are still answered — before their reads are shut down.
+//! [`Server::run`] returns once every connection thread has finished.
 
 use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -34,7 +33,7 @@ use tbaa_opt::rle::run_rle;
 use crate::journal::Journal;
 use crate::json::{write_json_string, Value};
 use crate::metrics::{Registry, LATENCY_US_BUCKETS};
-use crate::net::{self, DualListener, LineService, ServeOptions};
+use crate::net::{self, Drain, DualListener, LineService, ServeOptions};
 use crate::proto::{
     self, compile_error_reply, decode_request, error_reply, ok_reply, Request,
 };
@@ -48,15 +47,17 @@ pub struct ServerConfig {
     pub addr: String,
     /// Optional Unix-domain socket path (unix only; ignored elsewhere).
     pub unix_path: Option<std::path::PathBuf>,
-    /// Worker count == maximum concurrently served connections.
+    /// Requests executing at once. Connections are not workers: an idle
+    /// connection holds a parked thread, and open connections are capped
+    /// at [`net::CONNECTIONS_PER_WORKER`] times this.
     pub workers: usize,
     /// Maximum live sessions (LRU beyond this).
     pub session_capacity: usize,
     /// Per-request I/O timeout: a peer that stalls mid-line or refuses
     /// to accept its reply for longer than this is disconnected.
     pub io_timeout: Duration,
-    /// How long a draining worker waits for already-sent bytes to
-    /// surface after `shutdown` before closing its connection.
+    /// How long open connections are still served after `shutdown`
+    /// before their reads are shut down.
     pub drain_grace: Duration,
     /// Directory for the durable session journal ([`crate::journal`]).
     /// `None` (the default) disables journaling; with a directory set,
@@ -72,10 +73,6 @@ pub struct ServerConfig {
     /// `(level, world)` engine so the first query pays no engine build.
     pub prewarm: usize,
 }
-
-/// The old name of [`ServerConfig`].
-#[deprecated(since = "0.2.0", note = "renamed to `ServerConfig`; build one with `ServerConfig::builder()`")]
-pub type Config = ServerConfig;
 
 impl Default for ServerConfig {
     fn default() -> Self {
@@ -123,7 +120,7 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Worker count == maximum concurrently served connections.
+    /// Requests executing at once.
     pub fn workers(mut self, n: usize) -> Self {
         self.config.workers = n;
         self
@@ -141,7 +138,7 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Post-shutdown drain window per connection.
+    /// Post-shutdown drain window.
     pub fn drain_grace(mut self, d: Duration) -> Self {
         self.config.drain_grace = d;
         self
@@ -171,12 +168,12 @@ impl ServerConfigBuilder {
     }
 }
 
-/// Shared server state: sessions, metrics, the shutdown flag.
+/// Shared server state: sessions, metrics, the listener's drain switch.
 pub struct ServerState {
     store: SessionStore,
     journal: Option<Arc<Journal>>,
     metrics: Arc<Registry>,
-    shutdown: AtomicBool,
+    drain: Arc<Drain>,
     started: Instant,
     /// Engines to build eagerly after each admitted load (0 = off).
     prewarm: usize,
@@ -192,7 +189,7 @@ impl ServerState {
     /// through the store (and its incremental compiler) *before* any
     /// listener accepts a connection, so the first client already sees
     /// the pre-crash session ids.
-    fn new(config: &ServerConfig, started: Instant) -> std::io::Result<Self> {
+    fn new(config: &ServerConfig, started: Instant, drain: Arc<Drain>) -> std::io::Result<Self> {
         let metrics = Arc::new(Registry::new());
         let store = SessionStore::new(config.session_capacity, metrics.clone())
             .with_compile_threads(config.compile_threads);
@@ -231,7 +228,7 @@ impl ServerState {
             store,
             journal,
             metrics,
-            shutdown: AtomicBool::new(false),
+            drain,
             started,
             prewarm: config.prewarm,
         })
@@ -244,12 +241,13 @@ impl ServerState {
 
     /// Whether shutdown has been requested.
     pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.drain.is_draining()
     }
 
-    /// Requests shutdown (same effect as the wire verb).
+    /// Requests shutdown (same effect as the wire verb): stops the
+    /// accept threads at once and starts the drain.
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.drain.trigger();
     }
 
     /// The metrics registry (for embedding or inspection).
@@ -309,10 +307,6 @@ impl LineService for TbaadService {
         handle_line(&self.state, line, out);
     }
 
-    fn draining(&self) -> bool {
-        self.state.is_shutting_down()
-    }
-
     fn on_connect(&self) {
         self.state.metrics().counter("connections.accepted").inc();
         self.state.metrics().gauge("connections.active").inc();
@@ -329,27 +323,12 @@ impl Server {
     pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
         let started = Instant::now();
         let listener = DualListener::bind(&config.addr, config.unix_path.as_deref())?;
-        let state = Arc::new(ServerState::new(&config, started)?);
+        let state = Arc::new(ServerState::new(&config, started, listener.drain())?);
         Ok(Server {
             config,
             state,
             listener,
         })
-    }
-
-    /// Positional constructor from the pre-builder era.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Server::bind(ServerConfig::builder().addr(..).workers(..).session_capacity(..).build())`"
-    )]
-    pub fn new(addr: &str, workers: usize, session_capacity: usize) -> std::io::Result<Server> {
-        Server::bind(
-            ServerConfig::builder()
-                .addr(addr)
-                .workers(workers)
-                .session_capacity(session_capacity)
-                .build(),
-        )
     }
 
     /// The bound TCP address (resolves port 0).
@@ -373,8 +352,8 @@ impl Server {
         ServerHandle { addr, state, join }
     }
 
-    /// Serves until a `shutdown` request arrives and every worker has
-    /// drained its connection.
+    /// Serves until a `shutdown` request arrives and the drain has
+    /// finished every connection.
     pub fn run(self) -> std::io::Result<()> {
         let Server {
             config,
@@ -704,8 +683,13 @@ fn dispatch(state: &Arc<ServerState>, req: Request<'_>, out: &mut String) {
 mod tests {
     use super::*;
 
+    /// The state of a bound (never run) server.
+    fn state_with(config: ServerConfig) -> Arc<ServerState> {
+        Server::bind(config).expect("bind").state().clone()
+    }
+
     fn state() -> Arc<ServerState> {
-        Arc::new(ServerState::new(&ServerConfig::default(), Instant::now()).expect("state"))
+        state_with(ServerConfig::default())
     }
 
     /// Buffered `handle_line` + reply re-parse, for test assertions.
@@ -868,7 +852,7 @@ mod tests {
     #[test]
     fn prewarm_zero_defers_engine_build_to_first_query() {
         let config = ServerConfig::builder().prewarm(0).build();
-        let st = Arc::new(ServerState::new(&config, Instant::now()).expect("state"));
+        let st = state_with(config);
         let sid = load(&st, SMOKE);
         assert_eq!(engines_built(&st), 0, "prewarm=0 must not build at load");
         handle(
@@ -915,12 +899,5 @@ mod tests {
         assert_eq!(built.compile_threads, 5);
         assert_eq!(built.prewarm, 0);
         assert!(built.unix_path.is_none());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_positional_constructor_still_binds() {
-        let server = Server::new("127.0.0.1:0", 2, 4).expect("bind");
-        assert_ne!(server.local_addr().port(), 0);
     }
 }

@@ -286,7 +286,7 @@ impl SessionStore {
     #[must_use]
     pub fn with_compile_threads(mut self, threads: usize) -> Self {
         self.compile_threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
+            tbaa_ir::host_cores()
         } else {
             threads
         };

@@ -7,9 +7,10 @@
 //! replies are byte-identical to serial single-query replies, and
 //! (c) `shutdown` drains in-flight requests without dropping a reply.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use tbaa_server::{Client, ClientError, ErrCode, Server, ServerConfig, ServerHandle};
+use tbaa_server::net::CONNECTIONS_PER_WORKER;
+use tbaa_server::{Client, ClientError, ErrCode, Reply, Server, ServerConfig, ServerHandle};
 
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -246,7 +247,9 @@ fn malformed_lines_get_error_replies() {
     handle.join().expect("clean exit");
 }
 
-/// More connections than workers: excess connections queue, none starve.
+/// More connections than workers: each connection has its own thread
+/// and takes a worker permit only while a batch executes, so all six are
+/// served side by side.
 #[test]
 fn connection_queue_exceeding_workers() {
     let handle = spawn_server(ServerConfig::builder().workers(2).build());
@@ -258,7 +261,6 @@ fn connection_queue_exceeding_workers() {
                 let load = c.load_bench("pp", 1).expect("load");
                 let p = c.pairs(&load.session, None, None).expect("pairs");
                 assert!(p.references > 0);
-                // Close promptly so the worker frees up for queued peers.
             });
         }
     });
@@ -282,4 +284,99 @@ fn unix_socket_roundtrip() {
     c.shutdown().expect("shutdown");
     handle.join().expect("clean exit");
     assert!(!sock.exists(), "socket file removed after drain");
+}
+
+/// `n` connections that each finished one request and now sit idle.
+fn idle_connections(handle: &ServerHandle, n: usize) -> Vec<Client> {
+    (0..n)
+        .map(|_| {
+            let mut c = connect(handle);
+            c.stats().expect("stats");
+            c
+        })
+        .collect()
+}
+
+/// Idle connections hold parked threads, not workers: with as many idle
+/// connections open as there are workers, a new client is still served.
+#[test]
+fn idle_connections_do_not_starve_new_clients() {
+    let handle = spawn_server(ServerConfig::builder().workers(2).build());
+    let idle = idle_connections(&handle, 2);
+    let mut c = connect(&handle);
+    c.set_timeout(Some(Duration::from_secs(3))).unwrap();
+    c.stats()
+        .expect("a third client is answered while two sit idle");
+    drop(idle);
+    c.shutdown().expect("shutdown");
+    handle.join().expect("clean exit");
+}
+
+/// The connection one past the cap gets one `overloaded` line and EOF;
+/// once the idle connections close, new ones are served again.
+#[test]
+fn connection_past_the_cap_is_refused_then_served_again() {
+    let handle = spawn_server(ServerConfig::builder().workers(1).build());
+    let idle = idle_connections(&handle, CONNECTIONS_PER_WORKER);
+    let mut refused = connect(&handle);
+    let raw = refused.read_reply_line().expect("an overloaded line");
+    match Reply::decode(&raw) {
+        Ok(Reply::Err(err)) => assert_eq!(err.code, ErrCode::Overloaded, "{raw}"),
+        other => panic!("expected an overloaded error, got {other:?}"),
+    }
+    assert!(
+        matches!(refused.read_reply_line(), Err(ClientError::Protocol(_))),
+        "the refused connection is closed"
+    );
+    drop(idle);
+    // The idle connections' threads notice EOF on their own schedule.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let mut c = connect(&handle);
+        // Until then the request meets a refusal: an `overloaded` line,
+        // EOF, or a reset.
+        if c.stats().is_ok() {
+            c.shutdown().expect("shutdown");
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "never served again after the idle connections closed"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    handle.join().expect("clean exit");
+}
+
+/// Drain does not wait on idle connections or on a half-written request:
+/// whether triggered in process or by the wire verb, `join` returns
+/// within `drain_grace` plus a small slack, well before `io_timeout`.
+#[test]
+fn drain_reaps_idle_and_half_written_connections() {
+    use std::io::Write;
+    const GRACE: Duration = Duration::from_millis(200);
+    for wire_verb in [false, true] {
+        let handle = spawn_server(
+            ServerConfig::builder()
+                .workers(2)
+                .drain_grace(GRACE)
+                .io_timeout(Duration::from_secs(30))
+                .build(),
+        );
+        let _idle = idle_connections(&handle, 3);
+        let mut half = tbaa_server::net::Conn::connect_tcp(handle.addr()).expect("connect");
+        half.write_all(br#"{"op":"stats""#).expect("half a request");
+        let t0 = Instant::now();
+        if wire_verb {
+            connect(&handle).shutdown().expect("shutdown");
+        } else {
+            handle.state().request_shutdown();
+        }
+        handle.join().expect("clean exit");
+        let took = t0.elapsed();
+        assert!(
+            took < GRACE + Duration::from_secs(2),
+            "drain (wire verb: {wire_verb}) took {took:?}"
+        );
+    }
 }

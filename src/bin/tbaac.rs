@@ -262,7 +262,8 @@ fn serve_usage(msg: &str) -> ExitCode {
     eprintln!("tbaac serve: {msg}");
     eprintln!(
         "usage: tbaac serve [--addr HOST:PORT] [--socket PATH] [--workers N] [--capacity N] \
-         [--journal-dir DIR] [--compile-threads N] [--prewarm N]"
+         [--journal-dir DIR] [--compile-threads N] [--prewarm N]\n  \
+         --workers N  requests executing at once (default 16)"
     );
     ExitCode::FAILURE
 }
@@ -386,7 +387,9 @@ fn route_usage(msg: &str) -> ExitCode {
     eprintln!(
         "usage: tbaac route [--addr HOST:PORT] [--socket PATH] [--shards N] [--workers N] \
          [--capacity N] [--journal-dir DIR] [--compile-threads N] [--prewarm N] \
-         [--backend-bin TBAAD | --attach ADDR[,ADDR...]]"
+         [--backend-bin TBAAD | --attach ADDR[,ADDR...]]\n  \
+         --workers N  requests executing at once, in the router and in each owned shard \
+         (default 16)"
     );
     ExitCode::FAILURE
 }

@@ -384,3 +384,41 @@ fn journaled_backend_self_recovers_and_router_attaches_without_replay() {
     handle.state().request_shutdown();
     handle.join().expect("router exits cleanly");
 }
+
+/// The router drains like a daemon: with an idle client connection and
+/// a half-written request open, `join` returns within the router's
+/// `drain_grace` plus a small slack. The router closes its pooled
+/// backend connections first, so its in-process backends' much longer
+/// grace windows are never waited out.
+#[test]
+fn router_drain_reaps_idle_and_half_written_clients() {
+    use std::io::Write;
+    use std::time::{Duration, Instant};
+    const GRACE: Duration = Duration::from_millis(200);
+    let config = RouterConfig::builder()
+        .addr("127.0.0.1:0")
+        .shards(2)
+        .drain_grace(GRACE)
+        .io_timeout(Duration::from_secs(30))
+        .backend(BackendSpec::InProcess {
+            config: ServerConfig::builder()
+                .drain_grace(Duration::from_secs(30))
+                .build(),
+        })
+        .build();
+    let handle = Router::bind(config).expect("bind router").spawn();
+    let wire = Wire::connect_tcp(handle.addr()).expect("connect");
+    let mut idle = wire.try_clone().expect("clone socket");
+    let mut src = LineSource::new(wire);
+    idle.write_line(r#"{"op":"stats"}"#).expect("send stats");
+    let raw = src.read_line_blocking().expect("stats reply");
+    assert!(raw.contains(r#""ok":true"#), "{raw}");
+    let mut half = Wire::connect_tcp(handle.addr()).expect("connect");
+    half.write_all(br#"{"op":"stats""#).expect("half a request");
+    let t0 = Instant::now();
+    handle.state().request_shutdown();
+    handle.join().expect("router drains and exits cleanly");
+    let took = t0.elapsed();
+    assert!(took < GRACE + Duration::from_secs(2), "router drain took {took:?}");
+    assert!(src.read_line_blocking().is_err(), "the idle client sees EOF");
+}
