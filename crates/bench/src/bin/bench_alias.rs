@@ -149,7 +149,7 @@ fn census_section(smoke: bool) -> (Value<'static>, f64) {
         });
         let word_us = best_us(reps, || {
             let counts = engine
-                .dense_census(black_box(&ref_rows), 1)
+                .dense_census(black_box(&ref_rows))
                 .unwrap_or_else(|| panic!("{} left the dense regime", b.name));
             assert_eq!(counts, reference, "word-parallel census diverged on {}", b.name);
         });

@@ -76,6 +76,7 @@ use tbaa_bench::load::{
 use tbaa_bench::rng::XorShift64;
 use tbaa_router::{BackendSpec, Router, RouterConfig, RouterHandle, RouterState};
 use tbaa_server::json::{parse, Value};
+use tbaa_server::metrics::Histogram;
 use tbaa_server::net::MAX_LINE_BYTES;
 use tbaa_server::ServerConfig;
 
@@ -1259,26 +1260,12 @@ fn run_stats_poller(endpoint: &Endpoint, deadline: Instant) -> StatsPoll {
 // ---- driver ----------------------------------------------------------------
 
 /// A quantile estimate from a server-side histogram snapshot
-/// (`{count, sum, buckets: [[le|"inf", n], ...]}`): the upper bound of
-/// the bucket where the cumulative count crosses the quantile. The
-/// open-ended bucket reports the last finite bound (1s).
+/// (`{count, sum, buckets: [[le, n], ...]}`): the `le` of the bucket
+/// where the cumulative count crosses the quantile.
 fn bucket_quantile_us(hist: &Value, q: f64) -> i64 {
-    let count = hist.get("count").and_then(Value::as_i64).unwrap_or(0);
-    if count == 0 {
-        return 0;
-    }
-    let target = ((q * count as f64).ceil() as i64).max(1);
-    let mut seen = 0i64;
-    if let Some(buckets) = hist.get("buckets").and_then(Value::as_array) {
-        for b in buckets {
-            let Some(pair) = b.as_array() else { continue };
-            seen += pair.get(1).and_then(Value::as_i64).unwrap_or(0);
-            if seen >= target {
-                return pair.first().and_then(Value::as_i64).unwrap_or(1_000_000);
-            }
-        }
-    }
-    1_000_000
+    let h = Histogram::default();
+    h.absorb_json(hist);
+    h.quantile_us(q) as i64
 }
 
 /// The artifact's `router` section: the router's own stats fields plus
@@ -1462,7 +1449,7 @@ fn main() -> ExitCode {
         std::thread::sleep(Duration::from_millis(100));
     }
 
-    let mut latency = VerbLatencies::new();
+    let latency = VerbLatencies::new();
     let mut totals = ClientResult::default();
     for h in client_handles {
         let r = h.join().expect("client thread panicked");

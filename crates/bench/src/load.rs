@@ -7,10 +7,10 @@
 //!
 //! Three layers:
 //!
-//! * **Measurement** — [`LatencyHistogram`], a log-bucketed latency
-//!   histogram with p50/p95/p99/max extraction, and [`VerbLatencies`],
-//!   one histogram per protocol verb. Plain (non-atomic) so each client
-//!   thread records locally and merges at join time.
+//! * **Measurement** — [`VerbLatencies`], one
+//!   [`Histogram`](tbaa_server::metrics::Histogram) per protocol verb
+//!   with p50/p95/p99/max extraction: the daemon's own histogram type,
+//!   recorded per client thread and merged at join time.
 //! * **Workload** — [`WorkloadGen`], a seeded generator of protocol
 //!   request lines (mixed `load`/`alias`/`pairs`/`rle`/`stats` traffic
 //!   over several sessions) paired with the [`ReqKind`] needed to check
@@ -45,6 +45,7 @@ use tbaa_ir::pretty;
 use tbaa_opt::{OptOptions, RleStats};
 use tbaa_repro::Pipeline;
 use tbaa_server::json::{parse, Value};
+use tbaa_server::metrics::Histogram;
 use tbaa_server::proto::{self, ok_reply};
 use tbaa_server::session::{content_hash, SessionKey};
 
@@ -52,109 +53,8 @@ use crate::rng::XorShift64;
 
 // ---- measurement -----------------------------------------------------------
 
-/// Number of log buckets: quarter-powers of two from 1µs up past 100s.
-const HIST_BUCKETS: usize = 112;
-
-/// A log-bucketed latency histogram (microseconds).
-///
-/// Buckets are quarter-powers of two (bound `i` is `2^(i/4)` µs, ~19%
-/// apart), so p99 stays meaningful across six orders of magnitude
-/// without a fixed bound list. Not thread-safe by design: record into a
-/// per-thread instance and [`merge`](LatencyHistogram::merge) at the
-/// end.
-#[derive(Debug, Clone)]
-pub struct LatencyHistogram {
-    counts: Vec<u64>,
-    count: u64,
-    sum_us: u64,
-    max_us: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Upper bound of bucket `i`, in microseconds.
-fn bucket_bound(i: usize) -> u64 {
-    2f64.powf(i as f64 / 4.0).ceil() as u64
-}
-
-impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        LatencyHistogram {
-            counts: vec![0; HIST_BUCKETS],
-            count: 0,
-            sum_us: 0,
-            max_us: 0,
-        }
-    }
-
-    /// Records one latency observation.
-    pub fn observe(&mut self, d: Duration) {
-        let us = d.as_micros().min(u64::MAX as u128) as u64;
-        let idx = (0..HIST_BUCKETS)
-            .find(|&i| us <= bucket_bound(i))
-            .unwrap_or(HIST_BUCKETS - 1);
-        self.counts[idx] += 1;
-        self.count += 1;
-        self.sum_us += us;
-        self.max_us = self.max_us.max(us);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_us += other.sum_us;
-        self.max_us = self.max_us.max(other.max_us);
-    }
-
-    /// The estimated `q`-quantile in microseconds (upper bucket bound;
-    /// the exact max for the tail). 0 when empty.
-    pub fn quantile_us(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0;
-        for (i, &n) in self.counts.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return bucket_bound(i).min(self.max_us);
-            }
-        }
-        self.max_us
-    }
-
-    /// Renders `{count, mean_us, p50_us, p95_us, p99_us, max_us}`.
-    pub fn to_json(&self) -> Value<'static> {
-        let mean = if self.count == 0 {
-            0.0
-        } else {
-            self.sum_us as f64 / self.count as f64
-        };
-        Value::object(vec![
-            ("count", Value::Int(self.count as i64)),
-            ("mean_us", Value::Float((mean * 10.0).round() / 10.0)),
-            ("p50_us", Value::Int(self.quantile_us(0.50) as i64)),
-            ("p95_us", Value::Int(self.quantile_us(0.95) as i64)),
-            ("p99_us", Value::Int(self.quantile_us(0.99) as i64)),
-            ("max_us", Value::Int(self.max_us as i64)),
-        ])
-    }
-}
-
-/// The protocol verbs the workload issues (reply-checkable subset).
+/// The protocol verbs the workload issues (reply-checkable subset), in
+/// [`Verb::ALL`] order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verb {
     /// `load`.
@@ -185,10 +85,11 @@ impl Verb {
     }
 }
 
-/// One latency histogram per verb, merged like the histograms.
-#[derive(Debug, Clone, Default)]
+/// One latency histogram per verb: the daemon's own
+/// [`Histogram`], recorded per client thread and merged at the end.
+#[derive(Debug, Default)]
 pub struct VerbLatencies {
-    hists: [LatencyHistogram; 5],
+    hists: [Histogram; 5],
 }
 
 impl VerbLatencies {
@@ -197,35 +98,42 @@ impl VerbLatencies {
         Self::default()
     }
 
-    fn slot(&mut self, verb: Verb) -> &mut LatencyHistogram {
-        &mut self.hists[Verb::ALL.iter().position(|&v| v == verb).unwrap()]
-    }
-
     /// Records one observation under `verb`.
-    pub fn observe(&mut self, verb: Verb, d: Duration) {
-        self.slot(verb).observe(d);
+    pub fn observe(&self, verb: Verb, d: Duration) {
+        self.hists[verb as usize].record(d);
     }
 
     /// Folds another set into this one.
-    pub fn merge(&mut self, other: &VerbLatencies) {
-        for (a, b) in self.hists.iter_mut().zip(&other.hists) {
+    pub fn merge(&self, other: &VerbLatencies) {
+        for (a, b) in self.hists.iter().zip(&other.hists) {
             a.merge(b);
         }
     }
 
     /// Total observations across all verbs.
     pub fn total(&self) -> u64 {
-        self.hists.iter().map(LatencyHistogram::count).sum()
+        self.hists.iter().map(Histogram::count).sum()
     }
 
-    /// Renders `{verb: {count, ..quantiles}}` (verbs with traffic only).
+    /// Renders `{verb: {count, mean_us, p50_us, p95_us, p99_us, max_us}}`
+    /// (verbs with traffic only).
     pub fn to_json(&self) -> Value<'static> {
+        let quantiles = |h: &Histogram| {
+            Value::object(vec![
+                ("count", Value::Int(h.count() as i64)),
+                ("mean_us", Value::Float((h.mean_us() * 10.0).round() / 10.0)),
+                ("p50_us", Value::Int(h.quantile_us(0.50) as i64)),
+                ("p95_us", Value::Int(h.quantile_us(0.95) as i64)),
+                ("p99_us", Value::Int(h.quantile_us(0.99) as i64)),
+                ("max_us", Value::Int(h.max_us() as i64)),
+            ])
+        };
         Value::Object(
             Verb::ALL
                 .iter()
                 .zip(&self.hists)
                 .filter(|(_, h)| h.count() > 0)
-                .map(|(v, h)| (v.name().into(), h.to_json()))
+                .map(|(v, h)| (v.name().into(), quantiles(h)))
                 .collect(),
         )
     }
@@ -1147,27 +1055,6 @@ impl DiffChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_quantiles_are_ordered() {
-        let mut h = LatencyHistogram::new();
-        for us in [10u64, 20, 40, 80, 5000, 100, 60, 30, 15, 9] {
-            h.observe(Duration::from_micros(us));
-        }
-        assert_eq!(h.count(), 10);
-        let (p50, p95, p99) = (
-            h.quantile_us(0.50),
-            h.quantile_us(0.95),
-            h.quantile_us(0.99),
-        );
-        assert!(p50 <= p95 && p95 <= p99);
-        assert_eq!(h.quantile_us(1.0), 5000, "tail is exact via max");
-        let mut other = LatencyHistogram::new();
-        other.observe(Duration::from_micros(7000));
-        h.merge(&other);
-        assert_eq!(h.count(), 11);
-        assert_eq!(h.quantile_us(1.0), 7000);
-    }
 
     #[test]
     fn workload_is_deterministic_per_seed() {

@@ -508,11 +508,10 @@ impl CompiledAliasEngine {
     ///   per-function suffix state — still 64 paths per `AND`, times
     ///   the ⌈log₂(max multiplicity)⌉ live planes.
     ///
-    /// Pure sums of precomputed bits, so the result is deterministic at
-    /// any thread count. Workers claim function groups off a shared
-    /// atomic cursor, the same scoped-thread fan-out as the scalar
-    /// [`count_alias_pairs_with_threads`](crate::pairs::count_alias_pairs_with_threads).
-    pub fn dense_census(&self, rows: &HeapRefRows, threads: usize) -> Option<AliasPairCounts> {
+    /// Serial by design: the sweep takes about a microsecond on a
+    /// benchsuite program, far less than spawning one thread, so a
+    /// fan-out here only ever lost (measured unpinned on 2 vCPUs).
+    pub fn dense_census(&self, rows: &HeapRefRows) -> Option<AliasPairCounts> {
         if self.dense_n == 0 || rows.refs.iter().any(|ap| ap.0 >= self.dense_n) {
             return None;
         }
@@ -596,37 +595,9 @@ impl CompiledAliasEngine {
             }
             (local, weighted, diag)
         };
-        let add = |x: (u64, u64, u64), y: (u64, u64, u64)| (x.0 + y.0, x.1 + y.1, x.2 + y.2);
-        // Host-core cap included: a single-core host always takes the
-        // serial arm, so the census never pays thread-spawn overhead it
-        // cannot recoup (the pairs.scaling regression).
-        let workers = tbaa_ir::effective_workers(threads, groups);
-        let (local, weighted, diag) = if workers <= 1 {
-            (0..groups).map(census_group).fold((0, 0, 0), add)
-        } else {
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|sc| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        sc.spawn(|| {
-                            let mut sums = (0u64, 0u64, 0u64);
-                            loop {
-                                let gi = cursor.fetch_add(1, Ordering::Relaxed);
-                                if gi >= groups {
-                                    break;
-                                }
-                                sums = add(sums, census_group(gi));
-                            }
-                            sums
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("census worker panicked"))
-                    .fold((0, 0, 0), add)
-            })
-        };
+        let (local, weighted, diag) = (0..groups)
+            .map(census_group)
+            .fold((0, 0, 0), |x, y| (x.0 + y.0, x.1 + y.1, x.2 + y.2));
         Some(AliasPairCounts {
             references: rows.refs.len(),
             local_pairs: local as usize,

@@ -176,21 +176,23 @@ pub struct CensusReport {
 /// [`CompiledAliasEngine::dense_census`] when the engine is in the
 /// dense regime, and falls back to the scalar walk (lazy regime, or
 /// references interned after the engine compiled). Counts are exactly
-/// equal on both paths. Uses every available core.
+/// equal on both paths. The dense kernel runs serially; the scalar
+/// fallback fans out over every available core.
 pub fn census_alias_pairs(prog: &Program, engine: &CompiledAliasEngine) -> CensusReport {
     let threads = tbaa_ir::host_cores();
     census_alias_pairs_with_threads(prog, engine, threads)
 }
 
-/// [`census_alias_pairs`] with an explicit worker count; any value
-/// produces identical counts.
+/// [`census_alias_pairs`] with an explicit worker count for the scalar
+/// fallback (the dense kernel is always serial); any value produces
+/// identical counts.
 pub fn census_alias_pairs_with_threads(
     prog: &Program,
     engine: &CompiledAliasEngine,
     threads: usize,
 ) -> CensusReport {
     let rows = prog.heap_ref_rows();
-    if let Some(counts) = engine.dense_census(&rows, threads) {
+    if let Some(counts) = engine.dense_census(&rows) {
         return CensusReport {
             counts,
             dense_rows: rows.references() as u64,

@@ -61,7 +61,7 @@ pub mod units;
 use mini_m3::error::Diagnostics;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use tbaa_ir::lower::{FuncLowering, ModuleLowerer};
 use tbaa_ir::Program;
 
@@ -79,14 +79,14 @@ pub struct IncrReport {
     pub func_hits: u64,
     /// Functions lowered fresh.
     pub func_misses: u64,
-    /// Parse/check plus unit hashing time (µs).
-    pub analyze_us: u64,
+    /// Parse/check plus unit hashing time.
+    pub analyze: Duration,
     /// Time spent lowering units fresh — the scoped-thread fan-out on the
-    /// parallel cold path, or the summed in-line lowerings otherwise (µs).
-    pub lower_us: u64,
+    /// parallel cold path, or the summed in-line lowerings otherwise.
+    pub lower: Duration,
     /// Time spent replaying/absorbing units into the shared tables and
-    /// assembling the final program (µs).
-    pub merge_us: u64,
+    /// assembling the final program.
+    pub merge: Duration,
 }
 
 impl IncrReport {
@@ -204,14 +204,14 @@ impl IncrCompiler {
             Err(e) => return (Err(e), report),
         };
         let hashes = units::unit_hashes(&checked, source);
-        report.analyze_us = t_analyze.elapsed().as_micros() as u64;
+        report.analyze = t_analyze.elapsed();
 
         let workers = threads.clamp(1, checked.procs.len().max(1));
         if workers > 1 && self.is_empty() {
             let checked = Arc::new(checked);
             let t_lower = Instant::now();
             let units = tbaa_ir::lower_units_detached(&checked, workers);
-            report.lower_us = t_lower.elapsed().as_micros() as u64;
+            report.lower = t_lower.elapsed();
 
             let t_merge = Instant::now();
             let mut ml = ModuleLowerer::new_shared(checked);
@@ -245,7 +245,7 @@ impl IncrCompiler {
                 }
             }
             let out = ml.finish();
-            report.merge_us = t_merge.elapsed().as_micros() as u64;
+            report.merge = t_merge.elapsed();
             return (out, report);
         }
 
@@ -259,13 +259,13 @@ impl IncrCompiler {
             if let Some(cached) = self.lookup(key) {
                 let t = Instant::now();
                 ml.replay_next(&cached.lowering);
-                report.merge_us += t.elapsed().as_micros() as u64;
+                report.merge += t.elapsed();
                 ctx = hash::chain(ctx, cached.effect_hash);
                 report.func_hits += 1;
             } else {
                 let t = Instant::now();
                 let fl = ml.lower_next();
-                report.lower_us += t.elapsed().as_micros() as u64;
+                report.lower += t.elapsed();
                 let effect_hash = hash::fnv_hash(&fl.effects);
                 ctx = hash::chain(ctx, effect_hash);
                 // Units whose lowering emitted diagnostics are never
@@ -285,7 +285,7 @@ impl IncrCompiler {
         }
         let t = Instant::now();
         let out = ml.finish();
-        report.merge_us += t.elapsed().as_micros() as u64;
+        report.merge += t.elapsed();
         (out, report)
     }
 

@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use tbaa_server::json::{parse, Value};
-use tbaa_server::metrics::{Counter, Histogram, Registry, LATENCY_US_BUCKETS};
+use tbaa_server::metrics::{Counter, Gauge, Histogram, Registry};
 use tbaa_server::net::{self, Conn, Drain, DualListener, LineReader, LineService, ServeOptions};
 use tbaa_server::proto::{self, decode_request, error_reply, ok_reply, ProtoError, Request};
 use tbaa_server::session::{content_hash, SessionKey};
@@ -205,12 +205,47 @@ struct Shard {
     request_us: Arc<Histogram>,
 }
 
+/// The router's own instruments, resolved once at bind. Per-verb
+/// counters are indexed by [`Request::index`].
+struct RouterMetrics {
+    connections_accepted: Arc<Counter>,
+    connections_active: Arc<Gauge>,
+    requests: [Arc<Counter>; proto::VERBS.len()],
+    requests_invalid: Arc<Counter>,
+    request_us: Arc<Histogram>,
+    retries: Arc<Counter>,
+    respawns: Arc<Counter>,
+    recoveries_attached: Arc<Counter>,
+    recoveries_replayed: Arc<Counter>,
+    journal_loads_replayed: Arc<Counter>,
+    imbalance_pct: Arc<Gauge>,
+}
+
+impl RouterMetrics {
+    fn register(r: &Registry) -> Self {
+        RouterMetrics {
+            connections_accepted: r.counter("router.connections.accepted"),
+            connections_active: r.gauge("router.connections.active"),
+            requests: proto::VERBS.map(|v| r.counter(&format!("router.requests.{v}"))),
+            requests_invalid: r.counter("router.requests.invalid"),
+            request_us: r.histogram("router.request_us"),
+            retries: r.counter("router.retries"),
+            respawns: r.counter("router.respawns"),
+            recoveries_attached: r.counter("router.recoveries.attached"),
+            recoveries_replayed: r.counter("router.recoveries.replayed"),
+            journal_loads_replayed: r.counter("router.journal_loads_replayed"),
+            imbalance_pct: r.gauge("router.imbalance_pct"),
+        }
+    }
+}
+
 /// Shared router state.
 pub struct RouterState {
     shards: Vec<Shard>,
     ring: Ring,
     sessions: Mutex<SessionTable>,
-    metrics: Arc<Registry>,
+    registry: Arc<Registry>,
+    metrics: RouterMetrics,
     drain: Arc<Drain>,
     started: Instant,
     io_timeout: Duration,
@@ -232,7 +267,7 @@ impl RouterState {
 
     /// The router's own metrics registry.
     pub fn metrics(&self) -> &Arc<Registry> {
-        &self.metrics
+        &self.registry
     }
 
     /// Shard count.
@@ -256,7 +291,7 @@ impl RouterState {
 
     /// Total respawns performed so far.
     pub fn respawns(&self) -> u64 {
-        self.metrics.counter("router.respawns").get()
+        self.metrics.respawns.get()
     }
 }
 
@@ -304,7 +339,8 @@ impl Router {
         let started = Instant::now();
         let shard_count = config.backend.shard_count(config.shards);
         let hosts = build_hosts(&config.backend, shard_count)?;
-        let metrics = Arc::new(Registry::new());
+        let registry = Arc::new(Registry::new());
+        let metrics = RouterMetrics::register(&registry);
         let shards = hosts
             .into_iter()
             .enumerate()
@@ -314,9 +350,8 @@ impl Router {
                 host: Mutex::new(host),
                 pool: Mutex::new(Vec::new()),
                 generation: AtomicU64::new(0),
-                requests: metrics.counter(&format!("router.shard{index}.requests")),
-                request_us: metrics
-                    .histogram(&format!("router.shard{index}.request_us"), LATENCY_US_BUCKETS),
+                requests: registry.counter(&format!("router.shard{index}.requests")),
+                request_us: registry.histogram(&format!("router.shard{index}.request_us")),
             })
             .collect();
         let listener = DualListener::bind(&config.addr, config.unix_path.as_deref())?;
@@ -324,6 +359,7 @@ impl Router {
             shards,
             ring: Ring::new(shard_count, config.vnodes),
             sessions: Mutex::new(SessionTable::default()),
+            registry,
             metrics,
             drain: listener.drain(),
             started,
@@ -398,12 +434,12 @@ impl LineService for RouterService {
     }
 
     fn on_connect(&self) {
-        self.0.metrics.counter("router.connections.accepted").inc();
-        self.0.metrics.gauge("router.connections.active").inc();
+        self.0.metrics.connections_accepted.inc();
+        self.0.metrics.connections_active.inc();
     }
 
     fn on_disconnect(&self) {
-        self.0.metrics.gauge("router.connections.active").dec();
+        self.0.metrics.connections_active.dec();
     }
 }
 
@@ -448,30 +484,24 @@ fn unavailable_reply(shard: usize, attempts: u32, out: &mut String) {
 fn route_line(state: &Arc<RouterState>, line: &str, out: &mut String) {
     let t0 = Instant::now();
     route_inner(state, line, out);
-    state
-        .metrics
-        .histogram("router.request_us", LATENCY_US_BUCKETS)
-        .observe_duration(t0.elapsed());
+    state.metrics.request_us.record(t0.elapsed());
 }
 
 fn route_inner(state: &Arc<RouterState>, line: &str, out: &mut String) {
     let req = match decode_request(line) {
         Err(ProtoError::Json(e)) => {
-            state.metrics.counter("router.requests.invalid").inc();
+            state.metrics.requests_invalid.inc();
             error_reply("parse", &e.to_string()).encode_into(out);
             return;
         }
         Err(ProtoError::Invalid(m)) => {
-            state.metrics.counter("router.requests.invalid").inc();
+            state.metrics.requests_invalid.inc();
             error_reply("proto", &m).encode_into(out);
             return;
         }
         Ok(req) => req,
     };
-    state
-        .metrics
-        .counter(&format!("router.requests.{}", proto::verb(&req)))
-        .inc();
+    state.metrics.requests[req.index()].inc();
     match req {
         Request::Load {
             ref source,
@@ -655,7 +685,7 @@ fn call_shard(
             Ok(raw) => return Ok(raw),
             Err(_) if attempt < state.max_retries => {
                 attempt += 1;
-                state.metrics.counter("router.retries").inc();
+                state.metrics.retries.inc();
                 recover(state, shard_idx, generation);
                 std::thread::sleep(state.retry_backoff * attempt);
             }
@@ -678,7 +708,7 @@ fn exchange_once(
     conn.writer.write_line(line)?;
     let reply = conn.reader.read_line_strict()?;
     shard.requests.inc();
-    shard.request_us.observe_duration(t0.elapsed());
+    shard.request_us.record(t0.elapsed());
     repool(shard, conn);
     Ok(reply)
 }
@@ -727,7 +757,7 @@ fn recover(state: &Arc<RouterState>, shard_idx: usize, observed_generation: u64)
     if !probe(&addr, probe_timeout) {
         match host.respawn() {
             Ok(new_addr) => {
-                state.metrics.counter("router.respawns").inc();
+                state.metrics.respawns.inc();
                 // A backend with a durable journal recovers its own
                 // sessions — with the *same* backend sids — before it
                 // accepts connections. Attaching to it is both cheaper
@@ -735,9 +765,9 @@ fn recover(state: &Arc<RouterState>, shard_idx: usize, observed_generation: u64)
                 // in-memory replay is the fallback for journal-less
                 // (or torn-journal) backends.
                 if backend_self_recovered(state, shard_idx, &new_addr) {
-                    state.metrics.counter("router.recoveries.attached").inc();
+                    state.metrics.recoveries_attached.inc();
                 } else {
-                    state.metrics.counter("router.recoveries.replayed").inc();
+                    state.metrics.recoveries_replayed.inc();
                     replay_journal(state, shard_idx, &new_addr);
                 }
                 *shard.addr.lock().expect("addr poisoned") = new_addr;
@@ -850,7 +880,7 @@ fn replay_journal(state: &Arc<RouterState>, shard_idx: usize, addr: &str) {
             continue; // it compiled once; a failure here is not actionable
         }
         if let Some(backend_sid) = v.get("session").and_then(Value::as_str) {
-            state.metrics.counter("router.journal_loads_replayed").inc();
+            state.metrics.journal_loads_replayed.inc();
             let mut table = state.sessions.lock().expect("sessions poisoned");
             if let Some(entry) = table.by_sid.get_mut(&rsid) {
                 entry.backend_sid = backend_sid.to_string();
@@ -863,9 +893,10 @@ fn replay_journal(state: &Arc<RouterState>, shard_idx: usize, addr: &str) {
 // Pipelined batches
 // ---------------------------------------------------------------------
 
-/// A query ready to pipeline: its router sid and parsed request.
+/// A query ready to pipeline: its verb's [`Request::index`], router
+/// sid and parsed request.
 struct PreppedQuery {
-    verb: &'static str,
+    verb: usize,
     rsid: String,
     parsed: Value<'static>,
 }
@@ -874,12 +905,13 @@ struct PreppedQuery {
 /// known session) and names its owning shard.
 fn prep_query(state: &Arc<RouterState>, line: &str) -> Option<(usize, PreppedQuery)> {
     let req = decode_request(line).ok()?;
-    let (verb, rsid) = match &req {
-        Request::Alias { session, .. } => ("alias", session.to_string()),
-        Request::Pairs { session, .. } => ("pairs", session.to_string()),
-        Request::Rle { session, .. } => ("rle", session.to_string()),
+    let rsid = match &req {
+        Request::Alias { session, .. }
+        | Request::Pairs { session, .. }
+        | Request::Rle { session, .. } => session.to_string(),
         _ => return None,
     };
+    let verb = req.index();
     let shard = {
         let table = state.sessions.lock().expect("sessions poisoned");
         table.by_sid.get(&rsid)?.shard
@@ -945,15 +977,9 @@ fn pipeline_run(
             }
         };
         shard.requests.inc();
-        shard.request_us.observe_duration(t0.elapsed());
-        state
-            .metrics
-            .counter(&format!("router.requests.{}", q.verb))
-            .inc();
-        state
-            .metrics
-            .histogram("router.request_us", LATENCY_US_BUCKETS)
-            .observe_duration(t0.elapsed());
+        shard.request_us.record(t0.elapsed());
+        state.metrics.requests[q.verb].inc();
+        state.metrics.request_us.record(t0.elapsed());
         rewrite_reply_sid(raw, &q.rsid, out);
         out.push('\n');
     }
@@ -998,98 +1024,55 @@ fn route_batch(state: &Arc<RouterState>, lines: &[String], out: &mut String) {
 // Aggregated stats
 // ---------------------------------------------------------------------
 
-/// `inf` sorts after every finite bucket bound.
-const INF_KEY: i64 = i64::MAX;
-
 #[derive(Default)]
 struct MergedStats {
     counters: std::collections::BTreeMap<String, i64>,
     gauges: std::collections::BTreeMap<String, i64>,
-    /// name → (count, sum, le → n)
-    histograms: std::collections::BTreeMap<String, (i64, i64, std::collections::BTreeMap<i64, i64>)>,
+    /// Merged bucket-wise: every daemon buckets on the same scale.
+    histograms: std::collections::BTreeMap<String, Histogram>,
 }
 
 impl MergedStats {
     fn absorb(&mut self, snapshot: &Value<'_>) {
-        if let Some(Value::Object(items)) = snapshot.get("counters") {
-            for (name, v) in items {
-                if let Some(n) = v.as_i64() {
-                    *self.counters.entry(name.to_string()).or_insert(0) += n;
-                }
-            }
-        }
-        if let Some(Value::Object(items)) = snapshot.get("gauges") {
-            for (name, v) in items {
-                if let Some(n) = v.as_i64() {
-                    *self.gauges.entry(name.to_string()).or_insert(0) += n;
+        for (section, into) in [("counters", &mut self.counters), ("gauges", &mut self.gauges)] {
+            if let Some(Value::Object(items)) = snapshot.get(section) {
+                for (name, v) in items {
+                    if let Some(n) = v.as_i64() {
+                        *into.entry(name.to_string()).or_insert(0) += n;
+                    }
                 }
             }
         }
         if let Some(Value::Object(items)) = snapshot.get("histograms") {
             for (name, h) in items {
-                let entry = self.histograms.entry(name.to_string()).or_default();
-                entry.0 += h.get("count").and_then(Value::as_i64).unwrap_or(0);
-                entry.1 += h.get("sum").and_then(Value::as_i64).unwrap_or(0);
-                if let Some(buckets) = h.get("buckets").and_then(Value::as_array) {
-                    for b in buckets {
-                        let Some(pair) = b.as_array() else { continue };
-                        let (Some(le), Some(n)) = (pair.first(), pair.get(1)) else {
-                            continue;
-                        };
-                        let key = le.as_i64().unwrap_or(INF_KEY);
-                        *entry.2.entry(key).or_insert(0) += n.as_i64().unwrap_or(0);
-                    }
-                }
+                self.histograms
+                    .entry(name.to_string())
+                    .or_default()
+                    .absorb_json(h);
             }
         }
     }
 
     fn render(&self) -> Value<'static> {
-        let counters: Vec<(Cow<'static, str>, Value<'static>)> = self
-            .counters
-            .iter()
-            .map(|(k, v)| (k.clone().into(), Value::Int(*v)))
-            .collect();
-        let gauges: Vec<(Cow<'static, str>, Value<'static>)> = self
-            .gauges
-            .iter()
-            .map(|(k, v)| (k.clone().into(), Value::Int(*v)))
-            .collect();
-        let histograms: Vec<(Cow<'static, str>, Value<'static>)> = self
-            .histograms
-            .iter()
-            .map(|(name, (count, sum, buckets))| {
-                let mean = if *count == 0 {
-                    0.0
-                } else {
-                    *sum as f64 / *count as f64
-                };
-                let rendered: Vec<Value<'static>> = buckets
-                    .iter()
-                    .map(|(le, n)| {
-                        let le = if *le == INF_KEY {
-                            Value::Str("inf".into())
-                        } else {
-                            Value::Int(*le)
-                        };
-                        Value::Array(vec![le, Value::Int(*n)])
-                    })
-                    .collect();
-                (
-                    name.clone().into(),
-                    Value::object(vec![
-                        ("count", Value::Int(*count)),
-                        ("sum", Value::Int(*sum)),
-                        ("mean", Value::Float((mean * 1000.0).round() / 1000.0)),
-                        ("buckets", Value::Array(rendered)),
-                    ]),
-                )
-            })
-            .collect();
+        let ints = |m: &std::collections::BTreeMap<String, i64>| {
+            Value::Object(
+                m.iter()
+                    .map(|(k, v)| (k.clone().into(), Value::Int(*v)))
+                    .collect(),
+            )
+        };
         Value::object(vec![
-            ("counters", Value::Object(counters)),
-            ("gauges", Value::Object(gauges)),
-            ("histograms", Value::Object(histograms)),
+            ("counters", ints(&self.counters)),
+            ("gauges", ints(&self.gauges)),
+            (
+                "histograms",
+                Value::Object(
+                    self.histograms
+                        .iter()
+                        .map(|(name, h)| (name.clone().into(), h.to_json()))
+                        .collect(),
+                ),
+            ),
         ])
     }
 }
@@ -1157,43 +1140,28 @@ fn route_stats(state: &Arc<RouterState>, out: &mut String) {
     let max = loads.iter().copied().max().unwrap_or(0);
     let min = loads.iter().copied().min().unwrap_or(0);
     let imbalance = ((max - min) * 100).checked_div(max).unwrap_or(0) as i64;
-    state.metrics.gauge("router.imbalance_pct").set(imbalance);
+    state.metrics.imbalance_pct.set(imbalance);
 
     // Fold the router's own instruments into the same merged snapshot
     // (names are `router.*`-prefixed, so nothing double-counts).
-    merged.absorb(&state.metrics.snapshot());
+    merged.absorb(&state.registry.snapshot());
 
+    let m = &state.metrics;
+    let count = |c: &Counter| Value::Int(c.get() as i64);
     let router_section = Value::object(vec![
         ("shards", Value::Int(state.shards.len() as i64)),
         (
             "sessions",
             Value::Int(state.sessions.lock().expect("sessions poisoned").by_sid.len() as i64),
         ),
-        (
-            "retries",
-            Value::Int(state.metrics.counter("router.retries").get() as i64),
-        ),
-        (
-            "respawns",
-            Value::Int(state.metrics.counter("router.respawns").get() as i64),
-        ),
+        ("retries", count(&m.retries)),
+        ("respawns", count(&m.respawns)),
         (
             "recoveries",
             Value::object(vec![
-                (
-                    "attached",
-                    Value::Int(state.metrics.counter("router.recoveries.attached").get() as i64),
-                ),
-                (
-                    "replayed",
-                    Value::Int(state.metrics.counter("router.recoveries.replayed").get() as i64),
-                ),
-                (
-                    "journal_loads_replayed",
-                    Value::Int(
-                        state.metrics.counter("router.journal_loads_replayed").get() as i64
-                    ),
-                ),
+                ("attached", count(&m.recoveries_attached)),
+                ("replayed", count(&m.recoveries_replayed)),
+                ("journal_loads_replayed", count(&m.journal_loads_replayed)),
             ]),
         ),
         ("imbalance_pct", Value::Int(imbalance)),

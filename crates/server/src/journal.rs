@@ -60,7 +60,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use crate::json::{parse, Value};
-use crate::metrics::{Counter, Histogram, Registry, LATENCY_US_BUCKETS};
+use crate::metrics::{Counter, Histogram, Registry};
 use crate::proto::{decode_request, Request};
 use crate::session::{content_hash, SessionKey};
 
@@ -383,6 +383,8 @@ pub struct Journal {
     /// stops before admission journals the load — this histogram is
     /// where the WAL cost shows up instead.
     append_us: Arc<Histogram>,
+    replayed: Arc<Counter>,
+    replay_failures: Arc<Counter>,
 }
 
 impl Journal {
@@ -394,8 +396,8 @@ impl Journal {
     /// watermark the store must advance to before serving. The
     /// recovered file is rewritten compacted.
     ///
-    /// Registers (at zero) every `journal.*` counter, so `stats`
-    /// carries them from the first request whenever journaling is on.
+    /// Registers every `journal.*` instrument, so `stats` carries them
+    /// from the first request whenever journaling is on.
     pub fn open(dir: &Path, metrics: &Registry) -> std::io::Result<(Journal, Recovery)> {
         fs::create_dir_all(dir)?;
         let path = dir.join(FILE_NAME);
@@ -407,8 +409,8 @@ impl Journal {
         let scanned = scan(&existing);
         let (live, max_sid) = fold(&scanned.records);
 
-        // Eagerly register the counters recovery and replay report into.
-        metrics.counter("journal.replayed").add(0);
+        let replayed = metrics.counter("journal.replayed");
+        let replay_failures = metrics.counter("journal.replay_failures");
         metrics.counter("journal.recovered_records").add(scanned.records.len() as u64);
         metrics.counter("journal.torn").add(u64::from(scanned.torn));
         metrics.counter("journal.dup_skipped").add(scanned.dup_skipped);
@@ -417,7 +419,7 @@ impl Journal {
         let compactions = metrics.counter("journal.compactions");
         let fsyncs = metrics.counter("journal.fsyncs");
         let errors = metrics.counter("journal.errors");
-        let append_us = metrics.histogram("journal.append_us", LATENCY_US_BUCKETS);
+        let append_us = metrics.histogram("journal.append_us");
 
         // Rewrite compacted: a mark preserving the id watermark, then
         // the live loads renumbered from seq 2. Dropping superseded or
@@ -475,6 +477,8 @@ impl Journal {
             fsyncs,
             errors,
             append_us,
+            replayed,
+            replay_failures,
         };
         Ok((
             journal,
@@ -510,7 +514,7 @@ impl Journal {
         });
         self.write_record(&mut st, &rec);
         self.maybe_compact(&mut st);
-        self.append_us.observe_duration(t0.elapsed());
+        self.append_us.record(t0.elapsed());
     }
 
     /// Journals an `unload` tombstone.
@@ -526,7 +530,18 @@ impl Journal {
         st.live.retain(|l| l.sid != sid);
         self.write_record(&mut st, &rec);
         self.maybe_compact(&mut st);
-        self.append_us.observe_duration(t0.elapsed());
+        self.append_us.record(t0.elapsed());
+    }
+
+    /// Counts one recovered load the caller replayed: `restored` is
+    /// whether it was admitted again (`journal.replayed`) or dropped
+    /// because it no longer compiles (`journal.replay_failures`).
+    pub(crate) fn count_replay(&self, restored: bool) {
+        if restored {
+            self.replayed.inc();
+        } else {
+            self.replay_failures.inc();
+        }
     }
 
     /// Forces an fsync (used on graceful shutdown).

@@ -29,7 +29,8 @@
 //!
 //! * [`json`] — hand-rolled minimal JSON (the workspace is path-only);
 //! * [`proto`] — request/reply schema over [`json::Value`];
-//! * [`metrics`] — atomic counters / gauges / histograms, snapshot to
+//! * [`metrics`] — atomic counters / gauges and the one log-linear
+//!   latency histogram, resolved once into typed handles and snapshot to
 //!   JSON via the `stats` verb (reusable by any other subsystem);
 //! * [`session`] — content-keyed LRU session cache built on the shared
 //!   [`tbaa::memo::Memo`] (the same exactly-once discipline as the
@@ -49,12 +50,15 @@
 //! * [`reply`] — typed reply decoding ([`Reply`], [`ErrCode`]);
 //! * [`server`] — request dispatch, `catch_unwind` request isolation,
 //!   graceful drain on `shutdown`, on top of [`net::serve`];
+//! * [`cli`] — the daemon's command line, shared by `tbaad` and
+//!   `tbaac serve`;
 //! * [`client`] — a blocking [`Client`] used by `tbaac query`, the
 //!   router, and the integration tests.
 //!
 //! Run it: `tbaad --addr 127.0.0.1:4980` (or `tbaac serve`), then
 //! `tbaac query --bench ktree alias n.left n.right`.
 
+pub mod cli;
 pub mod client;
 pub mod fault;
 pub mod journal;

@@ -276,16 +276,22 @@ pub fn decode_request(line: &str) -> Result<Request<'_>, ProtoError> {
     }
 }
 
-/// The verb name a request counts under in the metrics.
-pub fn verb(req: &Request<'_>) -> &'static str {
-    match req {
-        Request::Load { .. } => "load",
-        Request::Alias { .. } => "alias",
-        Request::Pairs { .. } => "pairs",
-        Request::Rle { .. } => "rle",
-        Request::Stats => "stats",
-        Request::Unload { .. } => "unload",
-        Request::Shutdown => "shutdown",
+/// Every verb's wire name, indexed by [`Request::index`]: the order of
+/// the per-verb metric handles.
+pub const VERBS: [&str; 7] = ["load", "alias", "pairs", "rle", "stats", "unload", "shutdown"];
+
+impl Request<'_> {
+    /// This request's verb as an index into [`VERBS`].
+    pub fn index(&self) -> usize {
+        match self {
+            Request::Load { .. } => 0,
+            Request::Alias { .. } => 1,
+            Request::Pairs { .. } => 2,
+            Request::Rle { .. } => 3,
+            Request::Stats => 4,
+            Request::Unload { .. } => 5,
+            Request::Shutdown => 6,
+        }
     }
 }
 

@@ -32,7 +32,7 @@ use tbaa_opt::rle::run_rle;
 
 use crate::journal::Journal;
 use crate::json::{write_json_string, Value};
-use crate::metrics::{Registry, LATENCY_US_BUCKETS};
+use crate::metrics::{Counter, Gauge, Histogram, Registry};
 use crate::net::{self, Drain, DualListener, LineService, ServeOptions};
 use crate::proto::{
     self, compile_error_reply, decode_request, error_reply, ok_reply, Request,
@@ -168,11 +168,56 @@ impl ServerConfigBuilder {
     }
 }
 
+/// Every instrument the request and connection paths touch, resolved
+/// once when the state is built. Per-verb handles are indexed by
+/// [`Request::index`].
+struct ServerMetrics {
+    connections_accepted: Arc<Counter>,
+    connections_active: Arc<Gauge>,
+    inflight: Arc<Gauge>,
+    requests: [Arc<Counter>; proto::VERBS.len()],
+    requests_invalid: Arc<Counter>,
+    requests_panics: Arc<Counter>,
+    requests_errors: Arc<Counter>,
+    request_us: Arc<Histogram>,
+    request_us_by_verb: [Arc<Histogram>; proto::VERBS.len()],
+    query_us: Arc<Histogram>,
+    queries_alias: Arc<Counter>,
+    census_dense_rows: Arc<Counter>,
+    census_fallback_pairs: Arc<Counter>,
+    rle_us: Arc<Histogram>,
+}
+
+impl ServerMetrics {
+    fn register(r: &Registry) -> Self {
+        ServerMetrics {
+            connections_accepted: r.counter("connections.accepted"),
+            connections_active: r.gauge("connections.active"),
+            inflight: r.gauge("inflight"),
+            requests: proto::VERBS.map(|v| r.counter(&format!("requests.{v}"))),
+            requests_invalid: r.counter("requests.invalid"),
+            requests_panics: r.counter("requests.panics"),
+            requests_errors: r.counter("requests.errors"),
+            request_us: r.histogram("request_us"),
+            // Per-verb service times: the load harness and the benchmark
+            // correlate these with client-observed latencies to separate
+            // queueing and transport from service.
+            request_us_by_verb: proto::VERBS.map(|v| r.histogram(&format!("request_us.{v}"))),
+            query_us: r.histogram("query_us"),
+            queries_alias: r.counter("queries.alias"),
+            census_dense_rows: r.counter("census.dense_rows"),
+            census_fallback_pairs: r.counter("census.fallback_pairs"),
+            rle_us: r.histogram("rle_us"),
+        }
+    }
+}
+
 /// Shared server state: sessions, metrics, the listener's drain switch.
 pub struct ServerState {
     store: SessionStore,
     journal: Option<Arc<Journal>>,
-    metrics: Arc<Registry>,
+    registry: Arc<Registry>,
+    metrics: ServerMetrics,
     drain: Arc<Drain>,
     started: Instant,
     /// Engines to build eagerly after each admitted load (0 = off).
@@ -190,30 +235,26 @@ impl ServerState {
     /// listener accepts a connection, so the first client already sees
     /// the pre-crash session ids.
     fn new(config: &ServerConfig, started: Instant, drain: Arc<Drain>) -> std::io::Result<Self> {
-        let metrics = Arc::new(Registry::new());
-        let store = SessionStore::new(config.session_capacity, metrics.clone())
+        let registry = Arc::new(Registry::new());
+        let metrics = ServerMetrics::register(&registry);
+        let store = SessionStore::new(config.session_capacity, registry.clone())
             .with_compile_threads(config.compile_threads);
         let journal = match &config.journal_dir {
             None => None,
             Some(dir) => {
-                let (journal, recovery) = Journal::open(dir, &metrics)?;
+                let (journal, recovery) = Journal::open(dir, &registry)?;
                 // Apply the session-id watermark before anything else:
                 // the highest-minted pre-crash sid may belong to an
                 // unloaded session the replay below never touches, and
                 // re-minting it would hand a stale client's id to a
                 // different session.
                 store.reserve_ids(recovery.next_sid);
-                let replayed = metrics.counter("journal.replayed");
-                let failures = metrics.counter("journal.replay_failures");
                 for load in recovery.loads {
-                    match store.restore_line(&load.sid, &load.line) {
-                        Ok(()) => replayed.inc(),
-                        // A journaled load that no longer compiles (or
-                        // names a vanished bench) is dropped, never fatal:
-                        // recovery serves the sessions that still make
-                        // sense and counts the rest.
-                        Err(_) => failures.inc(),
-                    }
+                    // A journaled load that no longer compiles (or names
+                    // a vanished bench) is dropped, never fatal: recovery
+                    // serves the sessions that still make sense and
+                    // counts the rest.
+                    journal.count_replay(store.restore_line(&load.sid, &load.line).is_ok());
                 }
                 // Attach only after replay: the restored loads are
                 // already in the freshly compacted file. From here on
@@ -227,6 +268,7 @@ impl ServerState {
         Ok(ServerState {
             store,
             journal,
+            registry,
             metrics,
             drain,
             started,
@@ -252,7 +294,7 @@ impl ServerState {
 
     /// The metrics registry (for embedding or inspection).
     pub fn metrics(&self) -> &Arc<Registry> {
-        &self.metrics
+        &self.registry
     }
 
     /// The session store.
@@ -308,12 +350,12 @@ impl LineService for TbaadService {
     }
 
     fn on_connect(&self) {
-        self.state.metrics().counter("connections.accepted").inc();
-        self.state.metrics().gauge("connections.active").inc();
+        self.state.metrics.connections_accepted.inc();
+        self.state.metrics.connections_active.inc();
     }
 
     fn on_disconnect(&self) {
-        self.state.metrics().gauge("connections.active").dec();
+        self.state.metrics.connections_active.dec();
     }
 }
 
@@ -374,29 +416,29 @@ impl Server {
 /// connection worker across requests, so the hot verbs allocate nothing
 /// per reply.
 fn handle_line(state: &Arc<ServerState>, line: &str, out: &mut String) {
-    let metrics = state.metrics();
-    let inflight = metrics.gauge("inflight");
-    inflight.inc();
+    let metrics = &state.metrics;
+    metrics.inflight.inc();
     let t0 = Instant::now();
 
     let start = out.len();
-    let mut verb: Option<&'static str> = None;
+    let mut verb = None;
     match decode_request(line) {
         Err(proto::ProtoError::Json(e)) => {
-            metrics.counter("requests.invalid").inc();
+            metrics.requests_invalid.inc();
             error_reply("parse", &e.to_string()).encode_into(out);
         }
         Err(proto::ProtoError::Invalid(m)) => {
-            metrics.counter("requests.invalid").inc();
+            metrics.requests_invalid.inc();
             error_reply("proto", &m).encode_into(out);
         }
         Ok(req) => {
-            verb = Some(proto::verb(&req));
-            metrics.counter(&format!("requests.{}", proto::verb(&req))).inc();
+            let v = req.index();
+            verb = Some(v);
+            metrics.requests[v].inc();
             if let Err(payload) =
                 catch_unwind(AssertUnwindSafe(|| dispatch(state, req, out)))
             {
-                metrics.counter("requests.panics").inc();
+                metrics.requests_panics.inc();
                 let msg = panic_message(payload.as_ref());
                 // Drop whatever partial reply the panicking dispatch wrote.
                 out.truncate(start);
@@ -408,20 +450,14 @@ fn handle_line(state: &Arc<ServerState>, line: &str, out: &mut String) {
     // `compile_error_reply` put `ok` first), every success reply with
     // `{"ok":true` — so the error counter needs no reply re-parse.
     if out[start..].starts_with(r#"{"ok":false"#) {
-        metrics.counter("requests.errors").inc();
+        metrics.requests_errors.inc();
     }
     let elapsed = t0.elapsed();
-    metrics
-        .histogram("request_us", LATENCY_US_BUCKETS)
-        .observe_duration(elapsed);
-    // Per-verb service-time histograms: the load harness correlates these
-    // with its client-observed latencies to separate queueing from service.
+    metrics.request_us.record(elapsed);
     if let Some(v) = verb {
-        metrics
-            .histogram(&format!("request_us.{v}"), LATENCY_US_BUCKETS)
-            .observe_duration(elapsed);
+        metrics.request_us_by_verb[v].record(elapsed);
     }
-    inflight.dec();
+    metrics.inflight.dec();
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
@@ -470,7 +506,7 @@ fn write_int_field(name: &str, v: i64, out: &mut String) {
 }
 
 fn dispatch(state: &Arc<ServerState>, req: Request<'_>, out: &mut String) {
-    let metrics = state.metrics();
+    let metrics = &state.metrics;
     match req {
         Request::Load {
             source,
@@ -570,10 +606,8 @@ fn dispatch(state: &Arc<ServerState>, req: Request<'_>, out: &mut String) {
                 });
             }
             out.push_str("]}");
-            metrics
-                .histogram("query_us", LATENCY_US_BUCKETS)
-                .observe_duration(t0.elapsed());
-            metrics.counter("queries.alias").add(pairs.len() as u64);
+            metrics.query_us.record(t0.elapsed());
+            metrics.queries_alias.add(pairs.len() as u64);
             s.note_queries_served(pairs.len() as u64);
         }),
         Request::Pairs {
@@ -584,13 +618,9 @@ fn dispatch(state: &Arc<ServerState>, req: Request<'_>, out: &mut String) {
             let engine = s.engine(level, world);
             let t0 = Instant::now();
             let report = census_alias_pairs(&s.program, &engine);
-            metrics
-                .histogram("query_us", LATENCY_US_BUCKETS)
-                .observe_duration(t0.elapsed());
-            metrics.counter("census.dense_rows").add(report.dense_rows);
-            metrics
-                .counter("census.fallback_pairs")
-                .add(report.fallback_pairs);
+            metrics.query_us.record(t0.elapsed());
+            metrics.census_dense_rows.add(report.dense_rows);
+            metrics.census_fallback_pairs.add(report.fallback_pairs);
             write_reply_head(&session, level, world, out);
             write_int_field("references", report.counts.references as i64, out);
             write_int_field("local_pairs", report.counts.local_pairs as i64, out);
@@ -609,9 +639,7 @@ fn dispatch(state: &Arc<ServerState>, req: Request<'_>, out: &mut String) {
             let t0 = Instant::now();
             let mut prog = (*s.program).clone();
             let stats = run_rle(&mut prog, &*engine);
-            metrics
-                .histogram("rle_us", LATENCY_US_BUCKETS)
-                .observe_duration(t0.elapsed());
+            metrics.rle_us.record(t0.elapsed());
             write_reply_head(&session, level, world, out);
             write_int_field("hoisted", stats.hoisted as i64, out);
             write_int_field("eliminated", stats.eliminated as i64, out);
@@ -619,10 +647,6 @@ fn dispatch(state: &Arc<ServerState>, req: Request<'_>, out: &mut String) {
             out.push('}');
         }),
         Request::Stats => {
-            // Create the census counters on first `stats` so the snapshot
-            // always carries them, even before the first `pairs` request.
-            metrics.counter("census.dense_rows").add(0);
-            metrics.counter("census.fallback_pairs").add(0);
             let engines: Vec<_> = state
                 .store()
                 .engine_stats()
@@ -650,7 +674,7 @@ fn dispatch(state: &Arc<ServerState>, req: Request<'_>, out: &mut String) {
                     "uptime_us",
                     Value::Int((state.started.elapsed().as_micros() as i64).max(1)),
                 ),
-                ("stats", metrics.snapshot()),
+                ("stats", state.registry.snapshot()),
                 (
                     "sessions",
                     Value::object(vec![

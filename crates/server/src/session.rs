@@ -29,7 +29,7 @@ use tbaa_incr::IncrCompiler;
 
 use crate::journal::Journal;
 use crate::json::Value;
-use crate::metrics::{Counter, Gauge, Histogram, Registry, LATENCY_US_BUCKETS};
+use crate::metrics::{Counter, Gauge, Histogram, Registry};
 
 /// Content identity of a session.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -68,6 +68,16 @@ pub fn content_hash(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The analysis and engine build instruments every session of a store
+/// updates.
+struct BuildMetrics {
+    analyses_requested: Arc<Counter>,
+    analyses_built: Arc<Counter>,
+    analysis_us: Arc<Histogram>,
+    engines_built: Arc<Counter>,
+    engine_build_us: Arc<Histogram>,
+}
+
 /// One compiled program plus its memoized analyses.
 pub struct Session {
     /// The id handed to clients (`s1`, `s2`, …; stable per content).
@@ -80,11 +90,7 @@ pub struct Session {
     paths: HashMap<String, ApId>,
     analyses: Memo<(Level, World), Tbaa>,
     engines: Memo<(Level, World), CompiledAliasEngine>,
-    analyses_requested: Arc<Counter>,
-    analyses_built: Arc<Counter>,
-    analysis_us: Arc<Histogram>,
-    engines_built: Arc<Counter>,
-    engine_build_us: Arc<Histogram>,
+    metrics: Arc<BuildMetrics>,
     /// Worker-thread budget for engine builds (row-parallel dense fill).
     /// Capped by host cores inside `compile_with_threads`, so `1` on a
     /// single-core box regardless of the configured value.
@@ -100,7 +106,7 @@ impl Session {
         id: String,
         key: SessionKey,
         program: Program,
-        metrics: &Registry,
+        metrics: Arc<BuildMetrics>,
         compile_threads: usize,
     ) -> Self {
         let program = Arc::new(program);
@@ -117,11 +123,7 @@ impl Session {
             paths,
             analyses: Memo::new(),
             engines: Memo::new(),
-            analyses_requested: metrics.counter("analyses.requested"),
-            analyses_built: metrics.counter("analyses.built"),
-            analysis_us: metrics.histogram("analysis_us", LATENCY_US_BUCKETS),
-            engines_built: metrics.counter("engines.built"),
-            engine_build_us: metrics.histogram("engine_build_us", LATENCY_US_BUCKETS),
+            metrics,
             compile_threads,
             queries_served: AtomicU64::new(0),
         }
@@ -129,12 +131,12 @@ impl Session {
 
     /// The analysis for `(level, world)`, built at most once per session.
     pub fn analysis(&self, level: Level, world: World) -> Arc<Tbaa> {
-        self.analyses_requested.inc();
+        self.metrics.analyses_requested.inc();
         self.analyses.get_or_build((level, world), || {
-            self.analyses_built.inc();
+            self.metrics.analyses_built.inc();
             let t0 = Instant::now();
             let tbaa = Tbaa::build(&self.program, level, world);
-            self.analysis_us.observe_duration(t0.elapsed());
+            self.metrics.analysis_us.record(t0.elapsed());
             tbaa
         })
     }
@@ -146,14 +148,14 @@ impl Session {
     pub fn engine(&self, level: Level, world: World) -> Arc<CompiledAliasEngine> {
         let analysis = self.analysis(level, world);
         self.engines.get_or_build((level, world), || {
-            self.engines_built.inc();
+            self.metrics.engines_built.inc();
             let t0 = Instant::now();
             let engine = CompiledAliasEngine::compile_with_threads(
                 &self.program,
                 analysis,
                 self.compile_threads,
             );
-            self.engine_build_us.observe_duration(t0.elapsed());
+            self.metrics.engine_build_us.record(t0.elapsed());
             engine
         })
     }
@@ -230,7 +232,8 @@ pub struct SessionStore {
     /// Always ≥ 1; `with_compile_threads(0)` resolves to the host core
     /// count, and every consumer re-caps by cores/work anyway.
     compile_threads: usize,
-    metrics: Arc<Registry>,
+    /// Shared with every session: registered here, once per store.
+    build: Arc<BuildMetrics>,
     compiles: Arc<Counter>,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
@@ -252,7 +255,9 @@ struct StoreIndex {
 }
 
 impl SessionStore {
-    /// A store holding at most `capacity` live sessions.
+    /// A store holding at most `capacity` live sessions. Registers every
+    /// store and session instrument in `metrics` up front, so a `stats`
+    /// snapshot carries them all before the first load.
     pub fn new(capacity: usize, metrics: Arc<Registry>) -> Self {
         SessionStore {
             capacity: capacity.max(1),
@@ -266,15 +271,21 @@ impl SessionStore {
             hits: metrics.counter("sessions.hits"),
             misses: metrics.counter("sessions.misses"),
             evictions: metrics.counter("sessions.evictions"),
-            compile_us: metrics.histogram("compile_us", LATENCY_US_BUCKETS),
-            compile_analyze_us: metrics.histogram("compile.analyze_us", LATENCY_US_BUCKETS),
-            compile_lower_us: metrics.histogram("compile.lower_us", LATENCY_US_BUCKETS),
-            compile_merge_us: metrics.histogram("compile.merge_us", LATENCY_US_BUCKETS),
+            compile_us: metrics.histogram("compile_us"),
+            compile_analyze_us: metrics.histogram("compile.analyze_us"),
+            compile_lower_us: metrics.histogram("compile.lower_us"),
+            compile_merge_us: metrics.histogram("compile.merge_us"),
             incr_func_hits: metrics.counter("incr.func_hits"),
             incr_func_misses: metrics.counter("incr.func_misses"),
             incr_reuse_ratio: metrics.gauge("incr.reuse_ratio"),
-            incr_rebuild_us: metrics.histogram("incr.rebuild_us", LATENCY_US_BUCKETS),
-            metrics,
+            incr_rebuild_us: metrics.histogram("incr.rebuild_us"),
+            build: Arc::new(BuildMetrics {
+                analyses_requested: metrics.counter("analyses.requested"),
+                analyses_built: metrics.counter("analyses.built"),
+                analysis_us: metrics.histogram("analysis_us"),
+                engines_built: metrics.counter("engines.built"),
+                engine_build_us: metrics.histogram("engine_build_us"),
+            }),
         }
     }
 
@@ -301,10 +312,10 @@ impl SessionStore {
         let t0 = Instant::now();
         let workers = tbaa_ir::effective_workers(self.compile_threads, usize::MAX);
         let (result, report) = self.incr.compile_with_threads(source, workers);
-        self.incr_rebuild_us.observe_duration(t0.elapsed());
-        self.compile_analyze_us.observe(report.analyze_us);
-        self.compile_lower_us.observe(report.lower_us);
-        self.compile_merge_us.observe(report.merge_us);
+        self.incr_rebuild_us.record(t0.elapsed());
+        self.compile_analyze_us.record(report.analyze);
+        self.compile_lower_us.record(report.lower);
+        self.compile_merge_us.record(report.merge);
         self.incr_func_hits.add(report.func_hits);
         self.incr_func_misses.add(report.func_misses);
         // Percent of functions reused by the most recent compile — a
@@ -398,10 +409,10 @@ impl SessionStore {
             self.compiles.inc();
             let t0 = Instant::now();
             let compiled = compile();
-            self.compile_us.observe_duration(t0.elapsed());
+            self.compile_us.record(t0.elapsed());
             compiled.map(|program| {
                 let id = format!("s{}", self.next_id.fetch_add(1, Ordering::Relaxed));
-                Session::new(id, key.clone(), program, &self.metrics, self.compile_threads)
+                Session::new(id, key.clone(), program, self.build.clone(), self.compile_threads)
             })
         });
         let cached = match (&*slot, built_here) {
@@ -477,13 +488,13 @@ impl SessionStore {
             self.compiles.inc();
             let t0 = Instant::now();
             let compiled = compile();
-            self.compile_us.observe_duration(t0.elapsed());
+            self.compile_us.record(t0.elapsed());
             compiled.map(|program| {
                 Session::new(
                     id.to_string(),
                     key.clone(),
                     program,
-                    &self.metrics,
+                    self.build.clone(),
                     self.compile_threads,
                 )
             })
@@ -653,8 +664,8 @@ mod tests {
         assert!(Arc::ptr_eq(&a1, &a2));
         let open = s.analysis(Level::SmFieldTypeRefs, World::Open);
         assert!(!Arc::ptr_eq(&a1, &open));
-        assert_eq!(s.analyses_built.get(), 2);
-        assert_eq!(s.analyses_requested.get(), 3);
+        assert_eq!(s.metrics.analyses_built.get(), 2);
+        assert_eq!(s.metrics.analyses_requested.get(), 3);
     }
 
     #[test]
@@ -665,9 +676,9 @@ mod tests {
         let e1 = s.engine(Level::SmFieldTypeRefs, World::Closed);
         let e2 = s.engine(Level::SmFieldTypeRefs, World::Closed);
         assert!(Arc::ptr_eq(&e1, &e2));
-        assert_eq!(s.engines_built.get(), 1);
+        assert_eq!(s.metrics.engines_built.get(), 1);
         // Building the engine goes through the analysis memo too.
-        assert_eq!(s.analyses_built.get(), 1);
+        assert_eq!(s.metrics.analyses_built.get(), 1);
         let ap = s.resolve_path("t.f").unwrap();
         assert!(e1.may_alias(&s.program.aps, ap, ap));
         s.note_queries_served(1);

@@ -380,3 +380,120 @@ fn drain_reaps_idle_and_half_written_connections() {
         );
     }
 }
+
+/// Every instrument the daemon registers, by `stats` section. perfbench
+/// and `tbaa-loadgen` read these by name, so a rename or a lazily
+/// registered instrument breaks them silently.
+const COUNTERS: &[&str] = &[
+    "connections.accepted",
+    "requests.invalid",
+    "requests.panics",
+    "requests.errors",
+    "queries.alias",
+    "census.dense_rows",
+    "census.fallback_pairs",
+    "sessions.compiles",
+    "sessions.hits",
+    "sessions.misses",
+    "sessions.evictions",
+    "incr.func_hits",
+    "incr.func_misses",
+    "analyses.requested",
+    "analyses.built",
+    "engines.built",
+];
+const GAUGES: &[&str] = &["connections.active", "inflight", "incr.reuse_ratio"];
+const HISTOGRAMS: &[&str] = &[
+    "request_us",
+    "query_us",
+    "rle_us",
+    "compile_us",
+    "compile.analyze_us",
+    "compile.lower_us",
+    "compile.merge_us",
+    "incr.rebuild_us",
+    "analysis_us",
+    "engine_build_us",
+];
+const VERBS: [&str; 7] = ["load", "alias", "pairs", "rle", "stats", "unload", "shutdown"];
+
+/// Checks one `stats` histogram's wire shape: integer `count` and `sum`,
+/// buckets as `[le, n]` with integer `le` strictly increasing, and the
+/// bucket counts adding up to `count`. Returns `(count, sum)`.
+fn check_histogram(name: &str, h: &tbaa_server::json::Value) -> (i64, i64) {
+    let count = h.get("count").and_then(|v| v.as_i64());
+    let sum = h.get("sum").and_then(|v| v.as_i64());
+    let (Some(count), Some(sum)) = (count, sum) else {
+        panic!("{name}: count and sum must be integers: {h:?}");
+    };
+    let buckets = h.get("buckets").and_then(|v| v.as_array()).expect("buckets");
+    let mut prev = None;
+    let mut total = 0;
+    for b in buckets {
+        let pair = b.as_array().expect("bucket is [le, n]");
+        let le = pair[0].as_i64().unwrap_or_else(|| panic!("{name}: le {:?}", pair[0]));
+        let n = pair[1].as_i64().expect("bucket count is an integer");
+        assert!(prev.is_none_or(|p| le > p), "{name}: le must strictly increase");
+        assert!(n > 0, "{name}: empty buckets stay off the wire");
+        prev = Some(le);
+        total += n;
+    }
+    assert_eq!(total, count, "{name}: buckets add up to count");
+    (count, sum)
+}
+
+#[test]
+fn stats_contract_every_instrument_from_the_first_reply() {
+    let handle = spawn_server(ServerConfig::default());
+    let mut c = connect(&handle);
+
+    let first = c.stats().expect("first stats");
+    let section = |stats: &tbaa_server::StatsReply, s: &str| {
+        stats.value.get("stats").and_then(|v| v.get(s)).cloned().expect(s)
+    };
+    for name in COUNTERS.iter().map(|n| n.to_string()).chain(VERBS.map(|v| format!("requests.{v}"))) {
+        let v = section(&first, "counters");
+        assert!(v.get(&name).and_then(|v| v.as_i64()).is_some(), "counter {name}: {}", first.raw);
+    }
+    for name in GAUGES {
+        let v = section(&first, "gauges");
+        assert!(v.get(name).and_then(|v| v.as_i64()).is_some(), "gauge {name}: {}", first.raw);
+    }
+    let names: Vec<String> = HISTOGRAMS
+        .iter()
+        .map(|n| n.to_string())
+        .chain(VERBS.map(|v| format!("request_us.{v}")))
+        .collect();
+    for name in &names {
+        let h = section(&first, "histograms");
+        let h = h.get(name).unwrap_or_else(|| panic!("histogram {name}: {}", first.raw));
+        check_histogram(name, h);
+    }
+
+    // Traffic through every histogram, then the shape again.
+    let load = c.load_bench_with("ktree", 1, true).expect("load");
+    let pair = (load.paths[0].clone(), load.paths[0].clone());
+    c.alias(&load.session, None, None, &[pair]).expect("alias");
+    c.pairs(&load.session, None, None).expect("pairs");
+    c.rle(&load.session, None, None).expect("rle");
+    c.request_raw("not json").expect("error reply");
+    c.unload(&load.session).expect("unload");
+    let after = c.stats().expect("stats after traffic");
+    let histograms = section(&after, "histograms");
+    let tbaa_server::json::Value::Object(items) = &histograms else {
+        panic!("histograms is an object");
+    };
+    for (name, h) in items {
+        check_histogram(name, h);
+    }
+    for name in ["load", "alias", "pairs", "rle", "stats", "unload"] {
+        let (count, _) = check_histogram(name, histograms.get(&format!("request_us.{name}")).unwrap());
+        assert!(count >= 1, "request_us.{name} counted its request");
+    }
+    for name in ["query_us", "rle_us", "compile_us", "analysis_us", "engine_build_us"] {
+        assert!(check_histogram(name, histograms.get(name).unwrap()).0 >= 1, "{name}");
+    }
+
+    c.shutdown().expect("shutdown");
+    handle.join().expect("clean exit");
+}

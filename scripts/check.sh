@@ -22,6 +22,9 @@ cargo clippy --workspace --all-targets -- -W clippy::perf || true
 echo "== bench targets compile (feature bench-deps)"
 cargo build --release -p tbaa-bench --benches --features bench-deps
 
+echo "== benchmark package builds and passes its tests (perfbench/, own lockfile)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
 echo "== tbaad server smoke test"
 scripts/server_smoke.sh
 

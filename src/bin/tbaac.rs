@@ -33,8 +33,9 @@ use tbaa_repro::server;
 use tbaa_repro::sim;
 use tbaa_repro::sim::interp::{run, NullHook, RunConfig};
 
-/// Where `tbaac serve` listens and `tbaac query` connects by default.
-const DEFAULT_ADDR: &str = "127.0.0.1:4980";
+/// Where `tbaac route` listens and `tbaac query` connects by default:
+/// the daemon's own default address.
+const DEFAULT_ADDR: &str = server::cli::DEFAULT_ADDR;
 
 struct Opts {
     level: Level,
@@ -48,7 +49,8 @@ struct Opts {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("serve") => return cmd_serve(&args[1..]),
+        // The daemon in the foreground, with `tbaad`'s command line.
+        Some("serve") => return server::cli::run("tbaac serve", &args[1..]),
         Some("route") => return cmd_route(&args[1..]),
         Some("query") => return cmd_query(&args[1..]),
         _ => {}
@@ -197,75 +199,6 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-/// `tbaac serve` — run the daemon in the foreground (same flags as
-/// the standalone `tbaad` binary).
-fn cmd_serve(args: &[String]) -> ExitCode {
-    let mut config = server::ServerConfig::builder().addr(DEFAULT_ADDR).build();
-    let mut i = 0;
-    while i < args.len() {
-        let value = args.get(i + 1);
-        match args[i].as_str() {
-            "--addr" => match value {
-                Some(a) => config.addr = a.clone(),
-                None => return serve_usage("--addr needs HOST:PORT"),
-            },
-            "--socket" => match value {
-                Some(p) => config.unix_path = Some(p.into()),
-                None => return serve_usage("--socket needs PATH"),
-            },
-            "--workers" => match value.and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => config.workers = n,
-                _ => return serve_usage("--workers needs a positive integer"),
-            },
-            "--capacity" => match value.and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => config.session_capacity = n,
-                _ => return serve_usage("--capacity needs a positive integer"),
-            },
-            "--journal-dir" => match value {
-                Some(d) => config.journal_dir = Some(d.into()),
-                None => return serve_usage("--journal-dir needs DIR"),
-            },
-            "--compile-threads" => match value.and_then(|s| s.parse().ok()) {
-                Some(n) => config.compile_threads = n,
-                None => return serve_usage("--compile-threads needs an integer (0 = auto)"),
-            },
-            "--prewarm" => match value.and_then(|s| s.parse().ok()) {
-                Some(n) => config.prewarm = n,
-                None => return serve_usage("--prewarm needs an integer (0 = off)"),
-            },
-            other => return serve_usage(&format!("unknown option `{other}`")),
-        }
-        i += 2;
-    }
-    let srv = match server::Server::bind(config) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("tbaac serve: cannot bind: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("tbaad listening on {}", srv.local_addr());
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    match srv.run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("tbaac serve: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn serve_usage(msg: &str) -> ExitCode {
-    eprintln!("tbaac serve: {msg}");
-    eprintln!(
-        "usage: tbaac serve [--addr HOST:PORT] [--socket PATH] [--workers N] [--capacity N] \
-         [--journal-dir DIR] [--compile-threads N] [--prewarm N]\n  \
-         --workers N  requests executing at once (default 16)"
-    );
-    ExitCode::FAILURE
 }
 
 /// `tbaac route` — run the session-sharded front tier: one listener,

@@ -170,27 +170,6 @@ impl<'a> Pipeline<'a> {
     }
 }
 
-/// Compiles MiniM3 source, builds the requested analysis level, runs RLE,
-/// and returns the optimized program with the RLE statistics — the
-/// paper's headline pipeline in one call.
-///
-/// # Errors
-///
-/// Returns front-end diagnostics if the source does not compile.
-#[deprecated(since = "0.2.0", note = "use `Pipeline::new(source).level(..).world(..).optimize(..).run()`")]
-pub fn compile_and_optimize(
-    source: &str,
-    level: alias::Level,
-    world: alias::World,
-) -> Result<(ir::Program, opt::RleStats), lang::Diagnostics> {
-    let result = Pipeline::new(source)
-        .level(level)
-        .world(world)
-        .optimize(opt::OptOptions::builder().rle(true).build())
-        .run()?;
-    Ok((result.program, result.report.rle))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,20 +180,7 @@ mod tests {
          BEGIN t := NEW(T); t.f := 1; x := t.f; y := t.f; END M.";
 
     #[test]
-    #[allow(deprecated)]
-    fn compile_and_optimize_smoke() {
-        let (prog, stats) = compile_and_optimize(
-            SMOKE,
-            alias::Level::SmFieldTypeRefs,
-            alias::World::Closed,
-        )
-        .unwrap();
-        assert_eq!(stats.eliminated, 2);
-        assert!(prog.funcs.len() == 1);
-    }
-
-    #[test]
-    fn pipeline_matches_deprecated_wrapper() {
+    fn pipeline_rle_eliminates_redundant_loads() {
         let result = Pipeline::new(SMOKE)
             .level(alias::Level::SmFieldTypeRefs)
             .world(alias::World::Closed)

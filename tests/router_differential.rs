@@ -422,3 +422,72 @@ fn router_drain_reaps_idle_and_half_written_clients() {
     assert!(took < GRACE + Duration::from_secs(2), "router drain took {took:?}");
     assert!(src.read_line_blocking().is_err(), "the idle client sees EOF");
 }
+
+/// The router's merged `stats` sums each histogram's integer `count` and
+/// `sum` over its shards, bucket for bucket — what perfbench and
+/// `tbaa-loadgen` read through a router.
+#[test]
+fn merged_stats_sum_histograms_over_shards() {
+    use tbaa_server::json::Value;
+    use tbaa_server::Client;
+
+    let handle = spawn_router(2);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    for bench in ["ktree", "slisp", "format", "dformat"] {
+        let load = client.load_bench_with(bench, 1, true).expect("load");
+        let pair = (load.paths[0].clone(), load.paths[0].clone());
+        client.alias(&load.session, None, None, &[pair]).expect("alias");
+        client.pairs(&load.session, None, None).expect("pairs");
+    }
+    let merged = client.stats().expect("router stats").value;
+
+    // Each shard's own view, fetched after the merge. A `stats` request
+    // moves only `request_us` and `request_us.stats`, so every other
+    // histogram must match the merge exactly.
+    let shard_stats: Vec<Value<'static>> = merged
+        .get("router")
+        .and_then(|r| r.get("per_shard"))
+        .and_then(Value::as_array)
+        .expect("per_shard")
+        .iter()
+        .map(|s| {
+            let addr = s.get("addr").and_then(Value::as_str).expect("shard addr");
+            Client::connect(addr).expect("connect shard").stats().expect("shard stats").value
+        })
+        .collect();
+    assert_eq!(shard_stats.len(), 2);
+    let histograms = |v: &Value<'static>| -> Vec<(String, Value<'static>)> {
+        match v.get("stats").and_then(|s| s.get("histograms")) {
+            Some(Value::Object(items)) => items
+                .iter()
+                .map(|(k, h)| (k.to_string(), h.clone()))
+                .collect(),
+            _ => panic!("stats.histograms is an object"),
+        }
+    };
+    let field = |h: &Value, f: &str| {
+        h.get(f)
+            .and_then(Value::as_i64)
+            .unwrap_or_else(|| panic!("`{f}` must be an integer: {h:?}"))
+    };
+    let mut compared = 0;
+    for (name, h) in histograms(&merged) {
+        if name.starts_with("router.") || name == "request_us" || name == "request_us.stats" {
+            continue;
+        }
+        let shards: Vec<Value> = shard_stats
+            .iter()
+            .filter_map(|s| histograms(s).into_iter().find(|(n, _)| *n == name).map(|(_, h)| h))
+            .collect();
+        assert_eq!(shards.len(), 2, "{name} is on every shard");
+        for f in ["count", "sum"] {
+            let total: i64 = shards.iter().map(|h| field(h, f)).sum();
+            assert_eq!(field(&h, f), total, "merged {name}.{f} sums the shards");
+        }
+        compared += 1;
+    }
+    assert!(compared >= 10, "compared {compared} histograms");
+
+    handle.state().request_shutdown();
+    handle.join().expect("router exits cleanly");
+}
