@@ -3,15 +3,16 @@
 //! The unit cache is keyed entirely by content hashes, so the hasher must
 //! be deterministic across runs of the same binary — `std`'s default
 //! `SipHasher` is randomly keyed per process and unusable here. This is
-//! the same FNV-1a the session store uses for source keys
-//! (`tbaa_server::session::content_hash`), wrapped in a
-//! [`std::hash::Hasher`] impl so `#[derive(Hash)]` types (access paths,
-//! merges, effect records) can be folded in directly.
+//! the workspace's one FNV-1a: the session store's source keys and journal
+//! checksums (`tbaa_server::session::content_hash`) and the router's ring
+//! go through it too. It is a [`std::hash::Hasher`], so unit hashing can
+//! fold integers and strings in directly.
 //!
-//! The integer `write_*` methods feed native-endian bytes, which is fine:
-//! keys never leave the process.
+//! The integer `write_*` methods feed native-endian bytes, which is fine
+//! for unit keys: they never leave the process. Values that do (journal
+//! checksums) hash plain bytes.
 
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -53,29 +54,27 @@ impl Hasher for FnvHasher {
     }
 }
 
-/// Hashes any `Hash` value with FNV-1a.
-pub fn fnv_hash(value: &impl Hash) -> u64 {
-    let mut h = FnvHasher::new();
-    value.hash(&mut h);
-    h.finish()
-}
-
-/// Chains two hashes: the next context hash in a unit sequence.
-pub fn chain(ctx: u64, effect: u64) -> u64 {
-    let mut h = FnvHasher::new();
-    h.write_u64(ctx);
-    h.write_u64(effect);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn fnv(bytes: &[u8]) -> u64 {
+        let mut h = FnvHasher::new();
+        h.write(bytes);
+        h.finish()
+    }
+
     #[test]
     fn deterministic_and_content_sensitive() {
-        assert_eq!(fnv_hash(&"abc"), fnv_hash(&"abc"));
-        assert_ne!(fnv_hash(&"abc"), fnv_hash(&"abd"));
+        assert_eq!(fnv(b"abc"), fnv(b"abc"));
+        assert_ne!(fnv(b"abc"), fnv(b"abd"));
+    }
+
+    #[test]
+    fn matches_the_published_fnv1a_vectors() {
+        assert_eq!(fnv(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]
@@ -87,11 +86,5 @@ mod tests {
         b.write_str("a");
         b.write_str("bc");
         assert_ne!(a.finish(), b.finish());
-    }
-
-    #[test]
-    fn chain_is_order_sensitive() {
-        assert_ne!(chain(1, 2), chain(2, 1));
-        assert_eq!(chain(1, 2), chain(1, 2));
     }
 }

@@ -4,39 +4,50 @@
 //! recompiling a whole program because one function changed is not. This
 //! crate makes superseding `load`s pay only for what changed: it splits a
 //! module into per-function **units**, content-hashes each
-//! ([`units::unit_hashes`]), and caches every unit's lowering together
-//! with its **effect summary** ([`tbaa_ir::FuncEffects`]) — the access
-//! paths, interned symbols/texts, fresh-id consumption, pointer-assignment
-//! merges (§2.4), and `AddressTaken` facts (§2.3) that the unit
-//! contributed to module-shared state.
+//! ([`units::unit_hashes`]), and caches every unit's lowering as a
+//! [`tbaa_ir::DetachedUnit`] — the function body plus the access paths,
+//! interned symbols/texts, fresh-id consumption, pointer-assignment
+//! merges (§2.4) and `AddressTaken` facts (§2.3) it contributes, all
+//! lowered against the unit's own empty tables.
 //!
-//! ## Context-hash chaining
+//! ## The cache key
 //!
-//! A cached unit is only reusable when the shared state it was lowered
-//! under is reproduced exactly (interned ids are positional). The cache
-//! key is therefore `(unit_hash, ctx)` where
+//! The merges and `AddressTaken` facts are flow-insensitive unions over
+//! all functions, and a detached unit numbers its ids locally, so what a
+//! unit contributes does not depend on where it sits in the module or on
+//! what earlier units interned. A unit depends only on its own text and
+//! the module header (types, globals, consts, signatures, method impls).
+//! The cache key is therefore
 //!
 //! ```text
-//! ctx₀ = header_hash          (types, globals, consts, signatures, impls)
-//! ctxᵢ₊₁ = chain(ctxᵢ, effect_hashᵢ)
+//! (unit_hash, header_hash)
 //! ```
 //!
-//! so unit *i* hits iff its own text is unchanged **and** every earlier
-//! unit left the shared tables in the same state. A one-function edit
-//! whose effects are unchanged (the common case: the edit touches only
-//! that function's body) leaves every downstream context intact — `n−1`
-//! of `n` units replay from cache.
+//! and an edit to one function — even one that changes its effects, such
+//! as a new access path — re-lowers that unit alone; the other `n−1`
+//! units hit. An edit to the header misses every unit.
 //!
-//! ## What is and is not reused
+//! ## One drive loop
 //!
-//! Reused per hit: the lowered [`tbaa_ir::Function`] body and the
-//! function's analysis summary (merge edges + address-taken facts),
-//! spliced in by [`tbaa_ir::ModuleLowerer::replay_next`]. Recomputed
-//! every load: parse/check (the source must be validated regardless),
-//! and the global fixpoint — the type hierarchy and Steensgaard merge in
-//! `tbaa` are whole-program unions over the summaries and are cheap
-//! relative to lowering; recombining them fresh keeps the invariant that
-//! **incremental output is byte-identical to a from-scratch compile**.
+//! Every compile keys every unit, lowers the misses detached (on up to
+//! `threads` workers), absorbs every unit by reference **in unit order**
+//! through [`tbaa_ir::ModuleLowerer::absorb_next`], and caches the misses
+//! that emitted no diagnostics. Absorbing rebases each unit's local ids
+//! into the module tables exactly as serial lowering would have numbered
+//! them, so **incremental output is byte-identical to a from-scratch
+//! compile**. Recomputed every load: parse/check (the source must be
+//! validated regardless), and the global fixpoint — the type hierarchy
+//! and Steensgaard merge in `tbaa` are whole-program unions over the
+//! units' summaries and are cheap relative to lowering.
+//!
+//! ## Eviction
+//!
+//! The cache holds two generations of at most half the capacity each.
+//! New units enter the young generation; a hit in the old one moves the
+//! unit to the young one; when the young generation fills, it becomes
+//! the old one and the previous old one is dropped. Eviction is O(1)
+//! amortized, and a unit survives as long as it is used at least once
+//! while half the capacity's worth of other units is added.
 //!
 //! ```
 //! use tbaa_incr::IncrCompiler;
@@ -52,22 +63,23 @@
 //! assert_eq!(r1.func_hits, 0); // cold
 //! let (p2, r2) = incr.compile(&base.replace("RETURN 2", "RETURN 3"));
 //! assert!(p2.is_ok());
-//! assert_eq!(r2.func_hits, 2); // A and <main> replayed; only B re-lowered
+//! assert_eq!(r2.func_hits, 2); // A and <main> from cache; only B re-lowered
 //! ```
 
 pub mod hash;
 pub mod units;
 
+use mini_m3::check::ProcId;
 use mini_m3::error::Diagnostics;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use tbaa_ir::lower::{FuncLowering, ModuleLowerer};
+use tbaa_ir::lower::{lower_units_detached, DetachedUnit, ModuleLowerer};
 use tbaa_ir::Program;
 
-/// Default bound on cached units. Units are single lowered functions —
-/// small next to the `Arc<Program>`s the session store already retains —
-/// so the bound exists to cap pathological churn, not memory pressure.
+/// Default bound on cached units. The bound is memory pressure: on the
+/// benchmark's edit stream (`edit_suite`) a full cache of detached units
+/// holds about 18.5 MB, most of that daemon's ~26 MB resident set.
 pub const DEFAULT_UNIT_CAPACITY: usize = 4096;
 
 /// Per-compile reuse accounting, plus wall-clock stage timings so the
@@ -75,16 +87,15 @@ pub const DEFAULT_UNIT_CAPACITY: usize = 4096;
 /// `compile.lower_us` / `compile.merge_us` in the daemon's stats).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IncrReport {
-    /// Functions replayed from cache.
+    /// Functions taken from cache.
     pub func_hits: u64,
     /// Functions lowered fresh.
     pub func_misses: u64,
     /// Parse/check plus unit hashing time.
     pub analyze: Duration,
-    /// Time spent lowering units fresh — the scoped-thread fan-out on the
-    /// parallel cold path, or the summed in-line lowerings otherwise.
+    /// Time spent lowering the missed units detached.
     pub lower: Duration,
-    /// Time spent replaying/absorbing units into the shared tables and
+    /// Time spent absorbing every unit into the shared tables and
     /// assembling the final program.
     pub merge: Duration,
 }
@@ -95,7 +106,7 @@ impl IncrReport {
         self.func_hits + self.func_misses
     }
 
-    /// Fraction of functions replayed from cache (0 for an empty module).
+    /// Fraction of functions taken from cache (0 for an empty module).
     pub fn reuse_ratio(&self) -> f64 {
         let total = self.funcs();
         if total == 0 {
@@ -109,31 +120,63 @@ impl IncrReport {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct UnitKey {
     unit: u64,
-    ctx: u64,
+    header: u64,
 }
 
-struct CachedUnit {
-    lowering: FuncLowering,
-    effect_hash: u64,
-}
+type Generation = HashMap<UnitKey, Arc<DetachedUnit>>;
 
-struct Entry {
-    unit: Arc<CachedUnit>,
-    last_used: u64,
-}
-
+/// Two generations; see the crate docs' "Eviction".
 struct CacheInner {
-    map: HashMap<UnitKey, Entry>,
-    tick: u64,
+    young: Generation,
+    old: Generation,
     capacity: usize,
+}
+
+impl CacheInner {
+    /// Looks every key up. Hits in the old generation move to the young
+    /// one once all keys are looked up, so a turn of the generations in
+    /// the middle cannot drop a unit this same compile still needs.
+    fn get_all(&mut self, keys: &[UnitKey]) -> Vec<Option<Arc<DetachedUnit>>> {
+        let mut promoted = Vec::new();
+        let units = keys
+            .iter()
+            .map(|key| {
+                if let Some(unit) = self.young.get(key) {
+                    return Some(Arc::clone(unit));
+                }
+                let unit = self.old.remove(key)?;
+                promoted.push((*key, Arc::clone(&unit)));
+                Some(unit)
+            })
+            .collect();
+        for (key, unit) in promoted {
+            self.put(key, unit);
+        }
+        units
+    }
+
+    fn put(&mut self, key: UnitKey, unit: Arc<DetachedUnit>) {
+        if self.capacity == 0 {
+            return;
+        }
+        self.old.remove(&key);
+        self.young.insert(key, unit);
+        // On return the young generation holds fewer than ⌈capacity/2⌉
+        // units and the old one at most that many, so the two together
+        // never pass the capacity.
+        if self.young.len() >= self.capacity.div_ceil(2) {
+            self.old = std::mem::take(&mut self.young);
+        }
+    }
 }
 
 /// A concurrent, bounded, content-addressed cache of per-function
 /// lowerings, usable as the compile function for any number of sessions.
 ///
-/// Thread-safe: lookups and inserts take a short internal lock; the
-/// lowering itself runs outside it. Two threads racing on the same unit
-/// at worst lower it twice — the second insert wins, output is unaffected.
+/// Thread-safe: each compile takes a short internal lock once to look its
+/// units up and once to cache its misses; the lowering runs outside it.
+/// Two threads racing on the same unit at worst lower it twice — the
+/// second insert wins, output is unaffected.
 pub struct IncrCompiler {
     inner: Mutex<CacheInner>,
 }
@@ -154,16 +197,23 @@ impl IncrCompiler {
     pub fn with_capacity(capacity: usize) -> Self {
         IncrCompiler {
             inner: Mutex::new(CacheInner {
-                map: HashMap::new(),
-                tick: 0,
+                young: HashMap::new(),
+                old: HashMap::new(),
                 capacity,
             }),
         }
     }
 
+    fn cache(&self) -> std::sync::MutexGuard<'_, CacheInner> {
+        // Only map operations run under the lock, so a poisoned lock
+        // means a panic inside the standard library.
+        self.inner.lock().expect("unit cache lock poisoned")
+    }
+
     /// Number of units currently cached.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().map.len()
+        let inner = self.cache();
+        inner.young.len() + inner.old.len()
     }
 
     /// Whether the cache holds no units.
@@ -171,8 +221,8 @@ impl IncrCompiler {
         self.len() == 0
     }
 
-    /// Compiles `source` to IR, replaying every unit whose content and
-    /// shared-state context match a cached lowering.
+    /// Compiles `source` to IR, taking every unit whose text and module
+    /// header match a cached one from the cache.
     ///
     /// The result — including diagnostics on failure — is byte-identical
     /// to [`tbaa_ir::compile_to_ir`]; the report says how much was reused.
@@ -180,18 +230,14 @@ impl IncrCompiler {
         self.compile_with_threads(source, 1)
     }
 
-    /// [`compile`](Self::compile) with up to `threads` lowering workers on
-    /// the cold path.
+    /// [`compile`](Self::compile) with up to `threads` workers lowering
+    /// the missed units.
     ///
-    /// `threads` is an exact worker count (clamped only to the unit
-    /// count) so tests can force the fan-out on single-core hosts;
+    /// `threads` is an exact worker count (clamped only to the number of
+    /// misses) so tests can force the fan-out on single-core hosts;
     /// production callers should pass it through
-    /// [`tbaa_ir::effective_workers`] first. The fan-out engages only when
-    /// the cache is empty: a warm cache replays most units, and lowering
-    /// them detached first would be wasted work. Output is byte-identical
-    /// to the serial path either way, and a subsequent edit replays the
-    /// same n−1/1 hit/miss walk whether the cold compile was parallel or
-    /// serial.
+    /// [`tbaa_ir::effective_workers`] first. Output and the hit/miss walk
+    /// are the same at any thread count.
     pub fn compile_with_threads(
         &self,
         source: &str,
@@ -200,130 +246,53 @@ impl IncrCompiler {
         let mut report = IncrReport::default();
         let t_analyze = Instant::now();
         let checked = match mini_m3::compile(source) {
-            Ok(c) => c,
+            Ok(c) => Arc::new(c),
             Err(e) => return (Err(e), report),
         };
         let hashes = units::unit_hashes(&checked, source);
         report.analyze = t_analyze.elapsed();
 
-        let workers = threads.clamp(1, checked.procs.len().max(1));
-        if workers > 1 && self.is_empty() {
-            let checked = Arc::new(checked);
-            let t_lower = Instant::now();
-            let units = tbaa_ir::lower_units_detached(&checked, workers);
-            report.lower = t_lower.elapsed();
+        let keys: Vec<UnitKey> = hashes
+            .units
+            .iter()
+            .map(|&unit| UnitKey {
+                unit,
+                header: hashes.header,
+            })
+            .collect();
+        let mut units = self.cache().get_all(&keys);
+        let misses: Vec<ProcId> = (0..units.len() as u32)
+            .filter(|&i| units[i as usize].is_none())
+            .map(ProcId)
+            .collect();
+        report.func_misses = misses.len() as u64;
+        report.func_hits = (units.len() - misses.len()) as u64;
 
-            let t_merge = Instant::now();
-            let mut ml = ModuleLowerer::new_shared(checked);
-            let mut ctx = hashes.header;
-            for (i, unit) in units.into_iter().enumerate() {
-                let key = UnitKey {
-                    unit: hashes.units[i],
-                    ctx,
-                };
-                // Still consult the cache per unit (another session may
-                // have populated it since the emptiness check) so the
-                // hit/miss counters stay truthful.
-                if let Some(cached) = self.lookup(key) {
-                    ml.replay_next(&cached.lowering);
-                    ctx = hash::chain(ctx, cached.effect_hash);
-                    report.func_hits += 1;
-                } else {
-                    let fl = ml.absorb_next_captured(unit);
-                    let effect_hash = hash::fnv_hash(&fl.effects);
-                    ctx = hash::chain(ctx, effect_hash);
-                    if fl.clean {
-                        self.insert(
-                            key,
-                            CachedUnit {
-                                lowering: fl,
-                                effect_hash,
-                            },
-                        );
-                    }
-                    report.func_misses += 1;
-                }
-            }
-            let out = ml.finish();
-            report.merge = t_merge.elapsed();
-            return (out, report);
-        }
+        let t_lower = Instant::now();
+        let fresh = lower_units_detached(&checked, &misses, threads);
+        report.lower = t_lower.elapsed();
 
-        let mut ml = ModuleLowerer::new_shared(Arc::new(checked));
-        let mut ctx = hashes.header;
-        for i in 0..ml.num_procs() {
-            let key = UnitKey {
-                unit: hashes.units[i],
-                ctx,
-            };
-            if let Some(cached) = self.lookup(key) {
-                let t = Instant::now();
-                ml.replay_next(&cached.lowering);
-                report.merge += t.elapsed();
-                ctx = hash::chain(ctx, cached.effect_hash);
-                report.func_hits += 1;
-            } else {
-                let t = Instant::now();
-                let fl = ml.lower_next();
-                report.lower += t.elapsed();
-                let effect_hash = hash::fnv_hash(&fl.effects);
-                ctx = hash::chain(ctx, effect_hash);
+        let t_merge = Instant::now();
+        {
+            let mut inner = self.cache();
+            for (pid, unit) in misses.iter().zip(fresh) {
+                let unit = Arc::new(unit);
                 // Units whose lowering emitted diagnostics are never
                 // cached: the diagnostics are observable output and must
                 // be re-emitted by re-lowering.
-                if fl.clean {
-                    self.insert(
-                        key,
-                        CachedUnit {
-                            lowering: fl,
-                            effect_hash,
-                        },
-                    );
+                if unit.is_clean() {
+                    inner.put(keys[pid.0 as usize], Arc::clone(&unit));
                 }
-                report.func_misses += 1;
+                units[pid.0 as usize] = Some(unit);
             }
         }
-        let t = Instant::now();
+        let mut ml = ModuleLowerer::new_shared(checked);
+        for unit in &units {
+            ml.absorb_next(unit.as_ref().expect("every unit looked up or lowered"));
+        }
         let out = ml.finish();
-        report.merge += t.elapsed();
+        report.merge = t_merge.elapsed();
         (out, report)
-    }
-
-    fn lookup(&self, key: UnitKey) -> Option<Arc<CachedUnit>> {
-        let mut inner = self.inner.lock().unwrap();
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.map.get_mut(&key).map(|e| {
-            e.last_used = tick;
-            Arc::clone(&e.unit)
-        })
-    }
-
-    fn insert(&self, key: UnitKey, unit: CachedUnit) {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.capacity == 0 {
-            return;
-        }
-        while inner.map.len() >= inner.capacity && !inner.map.contains_key(&key) {
-            let Some(oldest) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(&k, _)| k)
-            else {
-                break;
-            };
-            inner.map.remove(&oldest);
-        }
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.map.insert(
-            key,
-            Entry {
-                unit: Arc::new(unit),
-                last_used: tick,
-            },
-        );
     }
 }
 
@@ -332,8 +301,10 @@ mod tests {
     use super::*;
 
     /// A structural fingerprint: the full pretty-printed program, which
-    /// covers functions, blocks, access paths, merges, and tables.
+    /// covers functions, blocks, access paths, merges, and tables. Every
+    /// program fingerprinted is verified first.
     fn fingerprint(p: &Program) -> String {
+        tbaa_ir::verify(p).expect("program verifies");
         tbaa_ir::pretty::program(p)
     }
 
@@ -367,6 +338,15 @@ mod tests {
          PROCEDURE Bump (VAR x: INTEGER) = BEGIN x := x + 1 END Bump;
          VAR t: T; x: INTEGER;
          BEGIN t := NEW(T); Bump(t.v); x := t.get(); END M.",
+        // Opaque subscripts (call results) in three units, so absorb
+        // rebases opaque ids past earlier units'.
+        "MODULE M;
+         TYPE A = ARRAY OF INTEGER;
+         PROCEDURE Id (i: INTEGER): INTEGER = BEGIN RETURN i END Id;
+         PROCEDURE Get (a: A): INTEGER = BEGIN RETURN a[Id(0)] + a[Id(1)] END Get;
+         PROCEDURE Put (a: A) = BEGIN a[Id(2)] := 7 END Put;
+         VAR a: A; x: INTEGER;
+         BEGIN a := NEW(A, 4); Put(a); x := Get(a) + a[Id(3)]; END M.",
     ];
 
     #[test]
@@ -412,10 +392,10 @@ mod tests {
     }
 
     #[test]
-    fn effect_changing_edit_invalidates_downstream() {
-        // A introduces a *new* access path shape; editing it shifts the
-        // shared intern tables, so B (lowered after A, using paths A
-        // first interned) must not replay against stale ids.
+    fn effect_changing_edit_relowers_only_that_unit() {
+        // A's edit interns a *new* access path first, which shifts every
+        // module id after it; B and <main> are absorbed from cache and
+        // rebased past it, so only A re-lowers.
         let base = "MODULE M;
             TYPE T = OBJECT f: INTEGER; g: INTEGER; END;
             PROCEDURE A (t: T): INTEGER = BEGIN RETURN t.f END A;
@@ -424,12 +404,12 @@ mod tests {
             BEGIN t := NEW(T); x := A(t) + B(t); END M.";
         let edited = base.replace("RETURN t.f END A", "RETURN t.g END A");
         let incr = IncrCompiler::new();
-        let _ = incr.compile(base);
+        let (_, r1) = incr.compile(base);
+        let n = r1.funcs();
         let (p, r) = incr.compile(&edited);
         assert_eq!(fingerprint(&p.unwrap()), fingerprint(&fresh(&edited)));
-        // B's unit text is unchanged but its context changed; it may only
-        // hit if A's effects happened to hash identically — they do not.
-        assert!(r.func_misses >= 2, "A and downstream units re-lowered");
+        assert_eq!(r.func_misses, 1, "only A re-lowered");
+        assert_eq!(r.func_hits, n - 1);
     }
 
     #[test]
@@ -513,7 +493,7 @@ mod tests {
             BEGIN t := NEW(T); x := A(t) + B(t) + C(t); END M.";
         let edited = base.replace("RETURN t.f + 1", "RETURN t.f + 100");
         let incr = IncrCompiler::new();
-        // Parallel cold compile caches the same (unit, ctx) entries a
+        // Parallel cold compile caches the same (unit, header) entries a
         // serial one would...
         let (_, r1) = incr.compile_with_threads(base, 4);
         assert_eq!(r1.func_misses, 4);
@@ -525,7 +505,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_cache_skips_the_fan_out() {
+    fn warm_threaded_compile_is_all_hits() {
         let src = CORPUS[1];
         let incr = IncrCompiler::new();
         let (_, r1) = incr.compile_with_threads(src, 4);
@@ -533,6 +513,61 @@ mod tests {
         assert_eq!(r2.func_misses, 0);
         assert_eq!(r2.func_hits, r1.funcs());
         assert_eq!(fingerprint(&p.unwrap()), fingerprint(&fresh(src)));
+    }
+
+    /// A module of one procedure per entry of `bodies` plus `<main>`;
+    /// procedure `k` reads `t.g` when `bodies[k].0` (an effect-changing
+    /// edit: a new access path) and `t.f` otherwise, plus `bodies[k].1`.
+    fn stream_module(bodies: &[(bool, u32)]) -> String {
+        let mut s = String::from("MODULE M; TYPE T = OBJECT f: INTEGER; g: INTEGER; END;\n");
+        for (k, &(g, lit)) in bodies.iter().enumerate() {
+            let field = if g { "g" } else { "f" };
+            s += &format!(
+                "PROCEDURE P{k} (t: T): INTEGER = BEGIN RETURN t.{field} + {lit} END P{k};\n"
+            );
+        }
+        s += "VAR t: T; x: INTEGER; BEGIN t := NEW(T); x := 0";
+        for k in 0..bodies.len() {
+            s += &format!(" + P{k}(t)");
+        }
+        s + "; END M."
+    }
+
+    #[test]
+    fn eviction_bounds_the_cache_and_keeps_an_edited_program_warm() {
+        const PROCS: usize = 4;
+        let units = PROCS as u64 + 1;
+        for capacity in [1usize, 2, 3, 5, 9, 10, 11, 64] {
+            let incr = IncrCompiler::with_capacity(capacity);
+            let mut rng = 0x9e37_79b9_7f4a_7c15u64 ^ capacity as u64;
+            let mut bodies: Vec<(bool, u32)> = (0..PROCS as u32).map(|k| (false, k)).collect();
+            for round in 0..40u32 {
+                if round > 0 {
+                    // xorshift64: one procedure per round gets a literal
+                    // never seen before, and a coin flip picks its field.
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    bodies[rng as usize % PROCS] = (rng >> 32 & 1 == 1, 100 + round);
+                }
+                let src = stream_module(&bodies);
+                let (p, r) = incr.compile(&src);
+                assert_eq!(fingerprint(&p.unwrap()), fingerprint(&fresh(&src)));
+                assert!(
+                    incr.len() <= capacity,
+                    "capacity {capacity}: {}",
+                    incr.len()
+                );
+                // A module whose units fit in one generation keeps them.
+                if round > 0 && units as usize <= capacity.div_ceil(2) {
+                    assert_eq!(
+                        (r.func_misses, r.func_hits),
+                        (1, units - 1),
+                        "capacity {capacity}, round {round}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

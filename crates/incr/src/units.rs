@@ -2,18 +2,14 @@
 //!
 //! A *unit* is one function's worth of source: the procedure header, its
 //! local declarations, and its body (the module body is the `<main>`
-//! unit). Lowering a unit reads two kinds of context besides the unit's
-//! own text:
-//!
-//! * **header state** — the type table, global/const declarations, the
-//!   procedure signature list (call resolution is by index), and the
-//!   method-implementation map. Any change here can change what *any*
-//!   unit lowers to, so it is hashed once per module and folded into the
-//!   initial context hash.
-//! * **shared lowering state** — the intern tables (access paths, field
-//!   symbols, text literals) and fresh-id counters that earlier units
-//!   mutate. This is covered by chaining each unit's *effect hash* into
-//!   the context (see [`crate::IncrCompiler`]).
+//! unit). Lowering a unit detached reads one kind of context besides the
+//! unit's own text: **header state** — the type table, global/const
+//! declarations, the procedure signature list (call resolution is by
+//! index), and the method-implementation map. Any change here can change
+//! what *any* unit lowers to, so it is hashed once per module and is the
+//! second half of every unit's cache key (see [`crate::IncrCompiler`]).
+//! The module-shared intern tables and fresh-id counters are not context:
+//! a detached unit numbers its ids locally, and absorbing it rebases them.
 //!
 //! Unit boundaries are *positional slices* of the source: unit `i` spans
 //! from its procedure header to the next procedure's header (or the

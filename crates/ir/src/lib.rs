@@ -33,15 +33,17 @@ pub mod lower;
 pub mod path;
 pub mod pretty;
 pub mod symbols;
+mod verify;
 
 pub use ir::{Function, HeapRefRows, Instr, Program};
 pub use lower::{
     effective_workers, effective_workers_for, host_cores, lower_parallel,
     lower_parallel_with_workers, lower_unit_detached, lower_units_detached, DetachedUnit,
-    FuncEffects, FuncLowering, ModuleLowerer,
+    ModuleLowerer,
 };
 pub use path::{AccessPath, ApId, ApTable, ApView, FuncId, VarId};
 pub use symbols::{Symbol, SymbolTable};
+pub use verify::verify;
 
 /// Compiles MiniM3 source all the way to IR.
 ///

@@ -97,24 +97,36 @@ pub fn lower_parallel_with_workers(
         return lower(checked);
     }
     let checked = Arc::new(checked);
-    let units = lower_units_detached(&checked, workers);
+    let pids: Vec<ProcId> = (0..checked.procs.len() as u32).map(ProcId).collect();
+    let units = lower_units_detached(&checked, &pids, workers);
     let mut ml = ModuleLowerer::new_shared(checked);
-    for unit in units {
+    for unit in &units {
         ml.absorb_next(unit);
     }
     ml.finish()
 }
 
-/// Lowers every function unit of `checked` detached (fresh local tables)
-/// on `workers` scoped threads, returning the units in function order.
-/// Workers claim unit indices off a shared atomic cursor, so skewed
-/// function sizes still balance.
-pub fn lower_units_detached(checked: &Arc<CheckedModule>, workers: usize) -> Vec<DetachedUnit> {
-    let n = checked.procs.len();
+/// Lowers the function units `pids` of `checked` detached (fresh local
+/// tables) on `workers` scoped threads, returning the units in `pids`
+/// order. Workers claim indices off a shared atomic cursor, so skewed
+/// function sizes still balance; one worker (or one unit) lowers on the
+/// calling thread.
+pub fn lower_units_detached(
+    checked: &Arc<CheckedModule>,
+    pids: &[ProcId],
+    workers: usize,
+) -> Vec<DetachedUnit> {
+    let n = pids.len();
+    if workers.min(n) <= 1 {
+        return pids
+            .iter()
+            .map(|&p| lower_unit_detached(checked, p))
+            .collect();
+    }
     let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Option<DetachedUnit>> = (0..n).map(|_| None).collect();
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
+        let handles: Vec<_> = (0..workers.min(n))
             .map(|_| {
                 let cursor = &cursor;
                 s.spawn(move || {
@@ -124,7 +136,7 @@ pub fn lower_units_detached(checked: &Arc<CheckedModule>, workers: usize) -> Vec
                         if i >= n {
                             break;
                         }
-                        done.push((i, lower_unit_detached(checked, ProcId(i as u32))));
+                        done.push((i, lower_unit_detached(checked, pids[i])));
                     }
                     done
                 })
@@ -146,26 +158,52 @@ pub fn lower_units_detached(checked: &Arc<CheckedModule>, workers: usize) -> Vec
 /// hands out (`ApId`s, `Symbol`s, text ids, temp/opaque counters) are
 /// local; [`ModuleLowerer::absorb_next`] remaps them into the
 /// module-shared tables.
+///
+/// The unit is returned compacted for caching: its tables as plain
+/// slices in local intern order (the intern maps are dropped), its
+/// `AddressTaken` and allocation facts as sorted slices, and its body
+/// shrunk to fit.
 pub fn lower_unit_detached(checked: &Arc<CheckedModule>, pid: ProcId) -> DetachedUnit {
     let mut lw = Lowerer::new_detached(Arc::clone(checked));
     lw.lower_func(pid);
-    let func = lw.funcs.pop().expect("lower_func pushed");
+    let mut func = lw.funcs.pop().expect("lower_func pushed");
+    func.vars.shrink_to_fit();
+    func.blocks.shrink_to_fit();
+    for b in &mut func.blocks {
+        b.instrs.shrink_to_fit();
+    }
     DetachedUnit {
         func,
         temps: lw.aps.temp_mark(),
         opaques: lw.aps.opaque_mark(),
-        aps: lw.aps,
-        symbols: lw.symbols,
-        texts: lw.texts,
-        merges: lw.merges,
-        address_taken: lw.address_taken,
-        allocated: lw.allocated,
+        aps: lw.aps.into_paths().into_boxed_slice(),
+        symbols: lw.symbols.into_names().into_boxed_slice(),
+        texts: lw.texts.into_boxed_slice(),
+        merges: lw.merges.into_boxed_slice(),
+        taken_fields: sorted(lw.address_taken.fields),
+        taken_elements: sorted(lw.address_taken.elements),
+        allocated: sorted(lw.allocated),
         diags: lw.diags,
     }
 }
 
+/// A set's elements in sorted order, so a unit's cached form does not
+/// depend on hash order.
+fn sorted<T: Ord>(set: HashSet<T>) -> Box<[T]> {
+    let mut v: Vec<T> = set.into_iter().collect();
+    v.sort_unstable();
+    v.into_boxed_slice()
+}
+
 /// One function lowered in isolation by [`lower_unit_detached`]: the body
 /// plus its shared-state contributions, all in unit-local id spaces.
+///
+/// This doubles as the function's analysis **summary**: `merges` are its
+/// pointer-assignment edges (§2.4) and `taken_*` its `AddressTaken`
+/// contributions (§2.3). Both are flow-insensitive unions over all
+/// functions, so what a unit contributes does not depend on where it sits
+/// in the module — a unit depends only on the module header and its own
+/// text, which is what lets `tbaa-incr` cache it.
 #[derive(Debug)]
 pub struct DetachedUnit {
     func: Function,
@@ -173,13 +211,26 @@ pub struct DetachedUnit {
     temps: u32,
     /// Fresh opaque-index ids the unit consumed.
     opaques: u32,
-    aps: ApTable,
-    symbols: SymbolTable,
-    texts: Vec<String>,
-    merges: Vec<Merge>,
-    address_taken: AddressTakenInfo,
-    allocated: HashSet<TypeId>,
+    /// Access paths, indexed by local `ApId`.
+    aps: Box<[AccessPath]>,
+    /// Field names, indexed by local `Symbol`.
+    symbols: Box<[String]>,
+    /// Text literals, indexed by local text id.
+    texts: Box<[String]>,
+    merges: Box<[Merge]>,
+    taken_fields: Box<[(TypeId, Symbol)]>,
+    taken_elements: Box<[TypeId]>,
+    allocated: Box<[TypeId]>,
     diags: Diagnostics,
+}
+
+impl DetachedUnit {
+    /// Whether lowering emitted no diagnostics. Only clean units are safe
+    /// to reuse: a diagnostic is observable output and must be re-emitted
+    /// by re-lowering.
+    pub fn is_clean(&self) -> bool {
+        self.diags.is_empty()
+    }
 }
 
 /// Rebases a detached unit's opaque-index ids into the module id space.
@@ -272,143 +323,24 @@ fn assemble(lw: Lowerer) -> Result<Program, Diagnostics> {
     }
 }
 
-/// Everything one function's lowering appended to the *module-shared*
-/// lowering state, recorded as a replayable delta. This doubles as the
-/// function's analysis **summary**: `merges` are its pointer-assignment
-/// edges (§2.4) and `taken_fields`/`taken_elements` its `AddressTaken`
-/// contributions (§2.3) — the global fixpoint (type hierarchy + Steensgaard
-/// merge) is recombined from these without re-lowering the function.
+/// A function-at-a-time driver over the same lowering engine as
+/// [`lower`], for the detached paths ([`lower_parallel`] and the
+/// incremental compiler in `tbaa-incr`).
 ///
-/// Replaying the deltas in original function order onto identical prefix
-/// state reproduces the exact shared tables (same ids, same order) that a
-/// from-scratch lowering would build.
-#[derive(Debug, Clone, Default, PartialEq, Hash)]
-pub struct FuncEffects {
-    /// Access paths this function was first to intern, in intern order.
-    pub aps: Vec<AccessPath>,
-    /// How many fresh temp roots it consumed.
-    pub temps: u32,
-    /// How many fresh opaque-index ids it consumed.
-    pub opaques: u32,
-    /// Field names it was first to intern, in intern order.
-    pub symbols: Vec<String>,
-    /// Text literals it was first to intern, in intern order.
-    pub texts: Vec<String>,
-    /// Pointer-assignment merges it recorded, in order.
-    pub merges: Vec<Merge>,
-    /// `AddressTaken` field facts it contributed (sorted for determinism).
-    pub taken_fields: Vec<(TypeId, Symbol)>,
-    /// `AddressTaken` element facts it contributed (sorted).
-    pub taken_elements: Vec<TypeId>,
-    /// Allocated types it contributed (sorted).
-    pub allocated: Vec<TypeId>,
-}
-
-/// One function's lowering: the generated body plus its shared-state
-/// effects, as produced by [`ModuleLowerer::lower_next`].
-#[derive(Debug, Clone)]
-pub struct FuncLowering {
-    /// The lowered function body.
-    pub func: Function,
-    /// The shared-state delta its lowering produced.
-    pub effects: FuncEffects,
-    /// Whether lowering emitted no diagnostics. Only clean lowerings are
-    /// safe to reuse: a diagnostic is part of the observable output and
-    /// must be re-emitted by re-lowering.
-    pub clean: bool,
-}
-
-/// Table positions before one unit is driven, for delta capture. The
-/// address-taken/allocated deltas come from insertion-order logs the
-/// [`Lowerer`] maintains alongside its sets, so capturing a unit no
-/// longer clones three `HashSet`s up front.
-struct Marks {
-    aps: usize,
-    temps: u32,
-    opaques: u32,
-    syms: usize,
-    texts: usize,
-    merges: usize,
-    diags: usize,
-    taken_fields: usize,
-    taken_elements: usize,
-    allocated: usize,
-}
-
-impl Marks {
-    fn take(lw: &Lowerer) -> Marks {
-        Marks {
-            aps: lw.aps.len(),
-            temps: lw.aps.temp_mark(),
-            opaques: lw.aps.opaque_mark(),
-            syms: lw.symbols.len(),
-            texts: lw.texts.len(),
-            merges: lw.merges.len(),
-            diags: lw.diags.len(),
-            taken_fields: lw.taken_fields_log.len(),
-            taken_elements: lw.taken_elements_log.len(),
-            allocated: lw.allocated_log.len(),
-        }
-    }
-
-    /// The delta between the marks and the lowerer's current state, as a
-    /// cacheable [`FuncLowering`] for the function just driven.
-    fn capture(self, lw: &Lowerer) -> FuncLowering {
-        let mut taken_fields = lw.taken_fields_log[self.taken_fields..].to_vec();
-        taken_fields.sort_unstable();
-        let mut taken_elements = lw.taken_elements_log[self.taken_elements..].to_vec();
-        taken_elements.sort_unstable();
-        let mut allocated = lw.allocated_log[self.allocated..].to_vec();
-        allocated.sort_unstable();
-        FuncLowering {
-            func: lw.funcs.last().expect("a function was driven").clone(),
-            effects: FuncEffects {
-                aps: (self.aps..lw.aps.len())
-                    .map(|i| lw.aps.path(ApId(i as u32)).clone())
-                    .collect(),
-                temps: lw.aps.temp_mark() - self.temps,
-                opaques: lw.aps.opaque_mark() - self.opaques,
-                symbols: lw
-                    .symbols
-                    .iter()
-                    .skip(self.syms)
-                    .map(|(_, n)| n.to_string())
-                    .collect(),
-                texts: lw.texts[self.texts..].to_vec(),
-                merges: lw.merges[self.merges..].to_vec(),
-                taken_fields,
-                taken_elements,
-                allocated,
-            },
-            clean: lw.diags.len() == self.diags,
-        }
-    }
-}
-
-/// A resumable, function-at-a-time driver over the same lowering engine as
-/// [`lower`], for incremental compilation (`tbaa-incr`).
-///
-/// Call [`lower_next`](Self::lower_next) to lower the next function fresh
-/// (capturing its [`FuncEffects`]) or [`replay_next`](Self::replay_next) to
-/// splice in a cached [`FuncLowering`] without re-running the lowerer, then
-/// [`finish`](Self::finish) once every function is accounted for. Driving
-/// all functions through `lower_next` yields a program byte-identical to
-/// [`lower`]; substituting `replay_next` for any prefix-compatible cached
-/// unit preserves that equivalence.
+/// There is one way to add a function: [`absorb_next`](Self::absorb_next)
+/// a [`DetachedUnit`], in unit order; then [`finish`](Self::finish) once
+/// every function is accounted for. The result is byte-identical to
+/// [`lower`], whether each unit was lowered just now or taken from a
+/// cache.
 pub struct ModuleLowerer {
     lw: Lowerer,
     next: u32,
 }
 
 impl ModuleLowerer {
-    /// Starts lowering `checked`, with no function lowered yet.
-    pub fn new(checked: CheckedModule) -> Self {
-        Self::new_shared(Arc::new(checked))
-    }
-
-    /// [`new`](Self::new) over an already-shared module — the parallel
-    /// cold-compile path keeps one `Arc` per detached worker plus this
-    /// one, so the module is checked once and never cloned.
+    /// Starts lowering `checked`, with no function absorbed yet. The
+    /// module is shared with the detached units' lowerings, so it is
+    /// checked once and never cloned.
     pub fn new_shared(checked: Arc<CheckedModule>) -> Self {
         ModuleLowerer {
             lw: Lowerer::new(checked),
@@ -416,42 +348,21 @@ impl ModuleLowerer {
         }
     }
 
-    /// Total number of functions in the module (including `<main>`).
-    pub fn num_procs(&self) -> usize {
-        self.lw.checked.procs.len()
-    }
-
-    /// Index of the next function to lower or replay.
-    pub fn position(&self) -> usize {
-        self.next as usize
-    }
-
-    /// Lowers the next function fresh, capturing its shared-state effects.
-    pub fn lower_next(&mut self) -> FuncLowering {
-        let marks = Marks::take(&self.lw);
-        self.lw.lower_func(ProcId(self.next));
-        self.next += 1;
-        marks.capture(&self.lw)
-    }
-
-    /// Splices a detached unit in by remapping its locally-numbered ids
-    /// (paths, temp/opaque roots, field symbols, text literals) into the
-    /// module-shared tables **in the unit's own intern order**. Detached
-    /// lowering interns in the same first-use order a serial lowering
-    /// does, and fresh ids are handed out pre-increment, so local id `k`
-    /// rebased by the module counter is exactly the id serial lowering
-    /// would have produced — the merged tables, and therefore the
-    /// assembled program, are byte-identical to serial output.
-    pub fn absorb_next(&mut self, unit: DetachedUnit) {
+    /// Splices the next function in by remapping its detached unit's
+    /// locally-numbered ids (paths, temp/opaque roots, field symbols, text
+    /// literals) into the module-shared tables **in the unit's own intern
+    /// order**. Detached lowering interns in the same first-use order a
+    /// serial lowering does, and fresh ids are handed out pre-increment,
+    /// so local id `k` rebased by the module counter is exactly the id
+    /// serial lowering would have produced — the merged tables, and
+    /// therefore the assembled program, are byte-identical to serial
+    /// output. The unit is only read, so a cached unit is absorbed as is.
+    pub fn absorb_next(&mut self, unit: &DetachedUnit) {
         let lw = &mut self.lw;
         let temp_base = lw.aps.temp_mark();
         let opaque_base = lw.aps.opaque_mark();
         // Field symbols and text literals, in unit intern order.
-        let sym_map: Vec<Symbol> = unit
-            .symbols
-            .iter()
-            .map(|(_, n)| lw.symbols.intern(n))
-            .collect();
+        let sym_map: Vec<Symbol> = unit.symbols.iter().map(|n| lw.symbols.intern(n)).collect();
         let text_map: Vec<u32> = unit.texts.iter().map(|t| lw.text_id(t)).collect();
         // Access paths: rebase local ids, then re-intern in unit order
         // (already-shared paths dedup to their existing module ids; new
@@ -459,95 +370,46 @@ impl ModuleLowerer {
         let ap_map: Vec<ApId> = unit
             .aps
             .iter()
-            .map(|(_, p)| {
+            .map(|p| {
                 let p = remap_path(p, &sym_map, temp_base, opaque_base);
                 lw.aps.intern(p)
             })
             .collect();
         lw.aps.advance_counters(unit.temps, unit.opaques);
 
-        let mut func = unit.func;
+        let mut func = unit.func.clone();
         remap_func(&mut func, &ap_map, &text_map);
         lw.funcs.push(func);
         lw.merges.extend_from_slice(&unit.merges);
-        for &(ty, sym) in unit.address_taken.fields.iter() {
-            let f = (ty, sym_map[sym.0 as usize]);
-            if lw.address_taken.fields.insert(f) {
-                lw.taken_fields_log.push(f);
-            }
-        }
-        for &t in unit.address_taken.elements.iter() {
-            if lw.address_taken.elements.insert(t) {
-                lw.taken_elements_log.push(t);
-            }
-        }
-        for &t in unit.allocated.iter() {
-            if lw.allocated.insert(t) {
-                lw.allocated_log.push(t);
-            }
-        }
-        lw.diags.extend(unit.diags);
+        lw.address_taken.fields.extend(
+            unit.taken_fields
+                .iter()
+                .map(|&(ty, sym)| (ty, sym_map[sym.0 as usize])),
+        );
+        lw.address_taken
+            .elements
+            .extend(unit.taken_elements.iter().copied());
+        lw.allocated.extend(unit.allocated.iter().copied());
+        lw.diags.extend(unit.diags.clone());
         self.next += 1;
     }
 
-    /// [`absorb_next`](Self::absorb_next), additionally capturing the
-    /// unit's shared-state delta as a cacheable [`FuncLowering`] —
-    /// exactly what [`lower_next`](Self::lower_next) would have captured
-    /// for the same function.
-    pub fn absorb_next_captured(&mut self, unit: DetachedUnit) -> FuncLowering {
-        let marks = Marks::take(&self.lw);
-        self.absorb_next(unit);
-        marks.capture(&self.lw)
-    }
-
-    /// Splices a cached function in by replaying its shared-state delta.
-    ///
-    /// Sound only when the module-shared prefix state (header + effects of
-    /// all earlier functions) is identical to the state the cached unit was
-    /// lowered under — the caller (`tbaa-incr`) guarantees this by keying
-    /// cache entries on a context hash chained over prior effects.
-    pub fn replay_next(&mut self, cached: &FuncLowering) {
-        let lw = &mut self.lw;
-        lw.funcs.push(cached.func.clone());
-        let eff = &cached.effects;
-        for ap in &eff.aps {
-            lw.aps.intern(ap.clone());
-        }
-        lw.aps.advance_counters(eff.temps, eff.opaques);
-        for s in &eff.symbols {
-            lw.symbols.intern(s);
-        }
-        for t in &eff.texts {
-            lw.text_id(t);
-        }
-        lw.merges.extend_from_slice(&eff.merges);
-        for &f in &eff.taken_fields {
-            if lw.address_taken.fields.insert(f) {
-                lw.taken_fields_log.push(f);
-            }
-        }
-        for &t in &eff.taken_elements {
-            if lw.address_taken.elements.insert(t) {
-                lw.taken_elements_log.push(t);
-            }
-        }
-        for &t in &eff.allocated {
-            if lw.allocated.insert(t) {
-                lw.allocated_log.push(t);
-            }
-        }
-        self.next += 1;
-    }
-
-    /// Assembles the program once every function has been lowered or
-    /// replayed.
+    /// Assembles the program once every function has been absorbed. Debug
+    /// builds check it with [`crate::verify`] first.
     pub fn finish(self) -> Result<Program, Diagnostics> {
         debug_assert_eq!(
             self.next as usize,
             self.lw.checked.procs.len(),
-            "finish() before all functions were driven"
+            "finish() before all functions were absorbed"
         );
-        assemble(self.lw)
+        let out = assemble(self.lw);
+        #[cfg(debug_assertions)]
+        if let Ok(p) = &out {
+            if let Err(e) = crate::verify(p) {
+                panic!("absorbed program fails verification: {e}");
+            }
+        }
+        out
     }
 }
 
@@ -587,14 +449,8 @@ struct Lowerer {
     aps: ApTable,
     symbols: SymbolTable,
     address_taken: AddressTakenInfo,
-    /// Insertion-order logs mirroring the sets above/below: a unit's
-    /// delta is a slice of the log, so per-unit capture never clones the
-    /// sets themselves.
-    taken_fields_log: Vec<(TypeId, Symbol)>,
-    taken_elements_log: Vec<TypeId>,
     merges: Vec<Merge>,
     allocated: HashSet<TypeId>,
-    allocated_log: Vec<TypeId>,
     // per-function state
     fid: FuncId,
     vars: Vec<VarDecl>,
@@ -666,11 +522,8 @@ impl Lowerer {
             aps: ApTable::new(),
             symbols: SymbolTable::new(),
             address_taken: AddressTakenInfo::default(),
-            taken_fields_log: Vec::new(),
-            taken_elements_log: Vec::new(),
             merges: Vec::new(),
             allocated: HashSet::new(),
-            allocated_log: Vec::new(),
             fid: FuncId(0),
             vars: Vec::new(),
             blocks: Vec::new(),
@@ -762,13 +615,10 @@ impl Lowerer {
     fn record_address_taken(&mut self, ap: &AccessPath) {
         match ap.steps.last() {
             Some(ApStep::Field { name, base_ty, .. }) => {
-                let f = (*base_ty, *name);
-                if self.address_taken.fields.insert(f) {
-                    self.taken_fields_log.push(f);
-                }
+                self.address_taken.fields.insert((*base_ty, *name));
             }
-            Some(ApStep::Index { base_ty, .. }) if self.address_taken.elements.insert(*base_ty) => {
-                self.taken_elements_log.push(*base_ty);
+            Some(ApStep::Index { base_ty, .. }) => {
+                self.address_taken.elements.insert(*base_ty);
             }
             _ => {}
         }
@@ -1441,7 +1291,9 @@ impl Lowerer {
                 Some(NameRes::Const(ConstVal::Int(v))) => ApIndex::Const(*v),
                 _ => ApIndex::Opaque(self.aps.fresh_opaque()),
             },
-            &Expr::Binary { op, lhs, rhs } if matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul) => {
+            &Expr::Binary { op, lhs, rhs }
+                if matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul) =>
+            {
                 let l = self.canonical_index(lhs);
                 let r = self.canonical_index(rhs);
                 ApIndex::Bin(op, Box::new(l), Box::new(r))
@@ -1767,9 +1619,7 @@ impl Lowerer {
         match b {
             Builtin::New => {
                 let ty = self.ty(args[0]);
-                if self.allocated.insert(ty) {
-                    self.allocated_log.push(ty);
-                }
+                self.allocated.insert(ty);
                 let r = self.reg();
                 if let TypeKind::Array { range: None, .. } = self.checked.types.kind(ty) {
                     let len = self.lower_expr(args[1]);
@@ -2159,24 +2009,6 @@ mod tests {
                 crate::pretty::program(&par),
                 "parallel lowering with {workers} workers diverged from serial"
             );
-        }
-    }
-
-    #[test]
-    fn absorb_captures_same_effects_as_lower_next() {
-        let checked = Arc::new(mini_m3::compile(PARALLEL_SRC).expect("compiles"));
-        let n = checked.procs.len();
-        let mut serial = ModuleLowerer::new_shared(Arc::clone(&checked));
-        let mut par = ModuleLowerer::new_shared(Arc::clone(&checked));
-        let units = lower_units_detached(&checked, 2);
-        for (i, unit) in units.into_iter().enumerate() {
-            let fresh = serial.lower_next();
-            let absorbed = par.absorb_next_captured(unit);
-            assert_eq!(
-                fresh.effects, absorbed.effects,
-                "unit {i}/{n} effects diverged"
-            );
-            assert_eq!(fresh.clean, absorbed.clean, "unit {i} cleanliness diverged");
         }
     }
 

@@ -349,6 +349,11 @@ impl ApTable {
             .map(|(i, p)| (ApId(i as u32), p))
     }
 
+    /// The paths in id order, with the intern map dropped.
+    pub(crate) fn into_paths(self) -> Vec<AccessPath> {
+        self.paths
+    }
+
     /// A fresh unique temp root id.
     pub fn fresh_temp(&mut self) -> u32 {
         self.next_temp += 1;
@@ -372,9 +377,8 @@ impl ApTable {
     }
 
     /// Advances the fresh-id counters as if `temps` temp roots and
-    /// `opaques` opaque indices had been handed out. Incremental replay
-    /// uses this to restore the counter state a cached function's lowering
-    /// left behind without re-running it.
+    /// `opaques` opaque indices had been handed out. Absorbing a detached
+    /// unit uses this to consume the ids the unit handed out locally.
     pub fn advance_counters(&mut self, temps: u32, opaques: u32) {
         self.next_temp += temps;
         self.next_opaque += opaques;

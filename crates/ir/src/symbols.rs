@@ -86,6 +86,11 @@ impl SymbolTable {
             .enumerate()
             .map(|(i, n)| (Symbol(i as u32), n.as_str()))
     }
+
+    /// The spellings in id order, with the intern map dropped.
+    pub(crate) fn into_names(self) -> Vec<String> {
+        self.names
+    }
 }
 
 #[cfg(test)]

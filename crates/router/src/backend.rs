@@ -10,33 +10,32 @@ use tbaa_server::net::Conn;
 use tbaa_server::{Server, ServerConfig, ServerHandle};
 
 /// How the router obtains its N backends.
+///
+/// An owned shard (in-process or spawned) runs its spec's
+/// [`ServerConfig`] on its own ephemeral port, without the Unix socket,
+/// and with its journal, if any, under `<journal_dir>/shard<i>`: shards
+/// must not share a journal, and the subdirectory is kept across
+/// respawns so a restarted shard recovers its own sessions
+/// ([`tbaa_server::journal`]). Without a journal directory the router
+/// falls back to replaying its in-memory journal after a respawn.
 #[derive(Debug, Clone)]
 pub enum BackendSpec {
     /// Run each shard as an in-process [`Server`] on its own ephemeral
-    /// port (tests, single-binary deployments). The config's `addr` and
-    /// `unix_path` are overridden per shard.
+    /// port (tests, single-binary deployments).
     InProcess {
-        /// Per-shard server configuration (capacity, workers, timeouts).
+        /// Per-shard server configuration (see [`BackendSpec`] for what
+        /// each shard overrides).
         config: ServerConfig,
     },
-    /// Spawn each shard as a `tbaad` child process.
+    /// Spawn each shard as a `tbaad` child process, its configuration
+    /// rendered to flags by [`tbaa_server::cli::render_args`].
     Spawn {
         /// Path to the `tbaad` binary.
         bin: PathBuf,
-        /// Requests executing at once per backend (its `--workers`).
-        workers: usize,
-        /// Session capacity per backend.
-        capacity: usize,
-        /// Base directory for the backends' durable session journals;
-        /// each shard journals under `<dir>/shard<i>` and self-recovers
-        /// its sessions on respawn ([`tbaa_server::journal`]). `None`
-        /// disables journaling (the router falls back to replaying its
-        /// in-memory journal after a respawn).
-        journal_dir: Option<PathBuf>,
-        /// Compile worker threads per backend (0 = one per host core).
-        compile_threads: usize,
-        /// Engines prewarmed per admitted load (0 = off, 1 = default).
-        prewarm: usize,
+        /// Per-shard daemon configuration (see [`BackendSpec`] for what
+        /// each shard overrides); only the fields the daemon's command
+        /// line sets reach the child.
+        config: ServerConfig,
     },
     /// Attach to already-running daemons; the router owns neither their
     /// lifecycle nor their respawn (a dead attached backend stays dead).
@@ -80,36 +79,13 @@ pub(crate) fn build_hosts(
     match spec {
         BackendSpec::InProcess { config } => {
             for shard in 0..shards {
-                // Shards must not share a journal: each gets its own
-                // subdirectory, preserved across respawns so a restarted
-                // shard recovers its own sessions.
-                let mut config = config.clone();
-                config.journal_dir = config
-                    .journal_dir
-                    .map(|base| base.join(format!("shard{shard}")));
-                hosts.push(Box::new(InProcessHost::start(config)?));
+                hosts.push(Box::new(InProcessHost::start(shard_config(config, shard))?));
             }
         }
-        BackendSpec::Spawn {
-            bin,
-            workers,
-            capacity,
-            journal_dir,
-            compile_threads,
-            prewarm,
-        } => {
+        BackendSpec::Spawn { bin, config } => {
             for shard in 0..shards {
-                let journal_dir = journal_dir
-                    .as_ref()
-                    .map(|base| base.join(format!("shard{shard}")));
-                hosts.push(Box::new(SpawnHost::start(
-                    bin.clone(),
-                    *workers,
-                    *capacity,
-                    journal_dir,
-                    *compile_threads,
-                    *prewarm,
-                )?));
+                let config = shard_config(config, shard);
+                hosts.push(Box::new(SpawnHost::start(bin.clone(), config)?));
             }
         }
         BackendSpec::Attach { addrs } => {
@@ -121,6 +97,18 @@ pub(crate) fn build_hosts(
     Ok(hosts)
 }
 
+/// Shard `shard`'s copy of an owned-backend configuration; see
+/// [`BackendSpec`].
+fn shard_config(config: &ServerConfig, shard: usize) -> ServerConfig {
+    let mut config = config.clone();
+    config.addr = "127.0.0.1:0".into();
+    config.unix_path = None;
+    config.journal_dir = config
+        .journal_dir
+        .map(|base| base.join(format!("shard{shard}")));
+    config
+}
+
 /// An in-process [`Server`] on an ephemeral port.
 struct InProcessHost {
     config: ServerConfig,
@@ -129,11 +117,7 @@ struct InProcessHost {
 }
 
 impl InProcessHost {
-    fn start(mut config: ServerConfig) -> std::io::Result<InProcessHost> {
-        // Each shard needs its own ephemeral port; a shared unix socket
-        // path would make shards trample each other.
-        config.addr = "127.0.0.1:0".into();
-        config.unix_path = None;
+    fn start(config: ServerConfig) -> std::io::Result<InProcessHost> {
         let server = Server::bind(config.clone())?;
         let addr = server.local_addr().to_string();
         Ok(InProcessHost {
@@ -184,40 +168,14 @@ impl BackendHost for InProcessHost {
 /// the startup banner.
 struct SpawnHost {
     bin: PathBuf,
-    workers: usize,
-    capacity: usize,
-    journal_dir: Option<PathBuf>,
-    compile_threads: usize,
-    prewarm: usize,
+    config: ServerConfig,
     child: Option<Child>,
     addr: String,
 }
 
 impl SpawnHost {
-    fn start(
-        bin: PathBuf,
-        workers: usize,
-        capacity: usize,
-        journal_dir: Option<PathBuf>,
-        compile_threads: usize,
-        prewarm: usize,
-    ) -> std::io::Result<SpawnHost> {
-        let mut args = vec![
-            "--addr".to_string(),
-            "127.0.0.1:0".to_string(),
-            "--workers".to_string(),
-            workers.to_string(),
-            "--capacity".to_string(),
-            capacity.to_string(),
-            "--compile-threads".to_string(),
-            compile_threads.to_string(),
-            "--prewarm".to_string(),
-            prewarm.to_string(),
-        ];
-        if let Some(dir) = &journal_dir {
-            args.push("--journal-dir".to_string());
-            args.push(dir.display().to_string());
-        }
+    fn start(bin: PathBuf, config: ServerConfig) -> std::io::Result<SpawnHost> {
+        let args = tbaa_server::cli::render_args(&config);
         let mut child = Command::new(&bin)
             .args(&args)
             .stdin(Stdio::null())
@@ -240,11 +198,7 @@ impl SpawnHost {
             })?;
         Ok(SpawnHost {
             bin,
-            workers,
-            capacity,
-            journal_dir,
-            compile_threads,
-            prewarm,
+            config,
             child: Some(child),
             addr,
         })
@@ -269,15 +223,8 @@ impl BackendHost for SpawnHost {
 
     fn respawn(&mut self) -> Result<String, String> {
         self.hard_kill();
-        let fresh = SpawnHost::start(
-            self.bin.clone(),
-            self.workers,
-            self.capacity,
-            self.journal_dir.clone(),
-            self.compile_threads,
-            self.prewarm,
-        )
-        .map_err(|e| format!("respawn failed: {e}"))?;
+        let fresh = SpawnHost::start(self.bin.clone(), self.config.clone())
+            .map_err(|e| format!("respawn failed: {e}"))?;
         *self = fresh;
         Ok(self.addr.clone())
     }

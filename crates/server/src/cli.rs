@@ -1,5 +1,7 @@
-//! The daemon's command line, shared by the `tbaad` binary and
-//! `tbaac serve`: one flag parser, one usage text, one startup line.
+//! The daemon's command line, shared by the `tbaad` binary, `tbaac
+//! serve` and the shards `tbaac route` owns: one flag parser, one set of
+//! defaults, one usage text, one startup line, and the renderer that
+//! turns a [`ServerConfig`] back into flags for a spawned shard.
 //!
 //! ```text
 //! [--addr HOST:PORT] [--socket PATH] [--workers N] [--capacity N]
@@ -39,7 +41,11 @@ const USAGE: &str = "\
                      the default (level, world) engine; 0 = off)";
 
 /// Parses the daemon's flags. `Ok(None)` means `--help` was asked for.
-fn parse_args(args: &[String]) -> Result<Option<ServerConfig>, String> {
+///
+/// # Errors
+///
+/// An unknown flag, a missing value, or a value out of range.
+pub fn parse_args(args: &[String]) -> Result<Option<ServerConfig>, String> {
     let mut config = ServerConfig::builder().addr(DEFAULT_ADDR).build();
     let mut i = 0;
     while i < args.len() {
@@ -74,6 +80,31 @@ fn parse_args(args: &[String]) -> Result<Option<ServerConfig>, String> {
         i += 2;
     }
     Ok(Some(config))
+}
+
+/// The flags that make [`parse_args`] return `config` again: every field
+/// the command line sets. The rest (`io_timeout`, `drain_grace`) has no
+/// flag and takes its default in the spawned daemon.
+pub fn render_args(config: &ServerConfig) -> Vec<String> {
+    let mut args = vec!["--addr".to_string(), config.addr.clone()];
+    if let Some(path) = &config.unix_path {
+        args.push("--socket".into());
+        args.push(path.display().to_string());
+    }
+    for (flag, n) in [
+        ("--workers", config.workers),
+        ("--capacity", config.session_capacity),
+        ("--compile-threads", config.compile_threads),
+        ("--prewarm", config.prewarm),
+    ] {
+        args.push(flag.into());
+        args.push(n.to_string());
+    }
+    if let Some(dir) = &config.journal_dir {
+        args.push("--journal-dir".into());
+        args.push(dir.display().to_string());
+    }
+    args
 }
 
 /// Runs the daemon from its command line until it drains: parse,
@@ -153,6 +184,34 @@ mod tests {
         assert_eq!((config.workers, config.session_capacity), (16, 32));
         assert_eq!(config.journal_dir.as_deref(), Some("/tmp/j".as_ref()));
         assert_eq!((config.compile_threads, config.prewarm), (0, 0));
+    }
+
+    #[test]
+    fn rendered_flags_parse_back_to_the_same_config() {
+        let fields = |c: &ServerConfig| {
+            (
+                c.addr.clone(),
+                c.unix_path.clone(),
+                c.workers,
+                c.session_capacity,
+                c.journal_dir.clone(),
+                c.compile_threads,
+                c.prewarm,
+            )
+        };
+        let every = ServerConfig::builder()
+            .addr("127.0.0.1:0")
+            .unix_path("/tmp/t.sock")
+            .workers(3)
+            .session_capacity(7)
+            .journal_dir("/tmp/j/shard1")
+            .compile_threads(2)
+            .prewarm(0)
+            .build();
+        for config in [ServerConfig::default(), every] {
+            let back = parse_args(&render_args(&config)).unwrap().unwrap();
+            assert_eq!(fields(&back), fields(&config));
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! `unload` evicts explicitly.
 
 use std::collections::HashMap;
+use std::hash::Hasher as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -25,6 +26,7 @@ use tbaa_ir::ir::Program;
 use tbaa_ir::path::ApId;
 use tbaa_ir::pretty;
 
+use tbaa_incr::hash::FnvHasher;
 use tbaa_incr::IncrCompiler;
 
 use crate::journal::Journal;
@@ -58,14 +60,13 @@ impl SessionKey {
     }
 }
 
-/// FNV-1a, the classic 64-bit offset/prime pair.
+/// 64-bit FNV-1a of `bytes`, through the workspace's one implementation
+/// ([`FnvHasher`]). Journal checksums are these values, so they must not
+/// change.
 pub fn content_hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    let mut h = FnvHasher::new();
+    h.write(bytes);
+    h.finish()
 }
 
 /// The analysis and engine build instruments every session of a store
@@ -622,6 +623,15 @@ mod tests {
 
     fn store(capacity: usize) -> SessionStore {
         SessionStore::new(capacity, Arc::new(Registry::new()))
+    }
+
+    /// Journal checksums and session keys are these values on disk and on
+    /// the wire: the published 64-bit FNV-1a vectors pin them.
+    #[test]
+    fn content_hash_is_plain_fnv1a() {
+        assert_eq!(content_hash(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(content_hash(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(content_hash(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -203,19 +203,17 @@ fn main() -> ExitCode {
 
 /// `tbaac route` — run the session-sharded front tier: one listener,
 /// N `tbaad` backends (in-process by default; spawned with
-/// `--backend-bin`; external with `--attach`).
+/// `--backend-bin`; external with `--attach`). The router's own flags
+/// are parsed here; every other flag is a daemon flag for the owned
+/// shards, parsed by the daemon's own parser with the daemon's defaults.
 fn cmd_route(args: &[String]) -> ExitCode {
     use tbaa_repro::router::{BackendSpec, Router, RouterConfig};
 
     let mut builder = RouterConfig::builder().addr(DEFAULT_ADDR);
     let mut shards: usize = 2;
-    let mut workers: usize = 16;
-    let mut capacity: usize = 64;
     let mut backend_bin: Option<std::path::PathBuf> = None;
     let mut attach: Option<Vec<String>> = None;
-    let mut journal_dir: Option<std::path::PathBuf> = None;
-    let mut compile_threads: usize = 0;
-    let mut prewarm: usize = 1;
+    let mut daemon_args: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let value = args.get(i + 1);
@@ -232,14 +230,6 @@ fn cmd_route(args: &[String]) -> ExitCode {
                 Some(n) if n >= 1 => shards = n,
                 _ => return route_usage("--shards needs a positive integer"),
             },
-            "--workers" => match value.and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => workers = n,
-                _ => return route_usage("--workers needs a positive integer"),
-            },
-            "--capacity" => match value.and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => capacity = n,
-                _ => return route_usage("--capacity needs a positive integer"),
-            },
             "--backend-bin" => match value {
                 Some(p) => backend_bin = Some(p.into()),
                 None => return route_usage("--backend-bin needs a path to tbaad"),
@@ -250,50 +240,29 @@ fn cmd_route(args: &[String]) -> ExitCode {
                 }
                 None => return route_usage("--attach needs ADDR[,ADDR...]"),
             },
-            "--journal-dir" => match value {
-                Some(d) => journal_dir = Some(d.into()),
-                None => return route_usage("--journal-dir needs DIR"),
-            },
-            "--compile-threads" => match value.and_then(|s| s.parse().ok()) {
-                Some(n) => compile_threads = n,
-                None => return route_usage("--compile-threads needs an integer (0 = auto)"),
-            },
-            "--prewarm" => match value.and_then(|s| s.parse().ok()) {
-                Some(n) => prewarm = n,
-                None => return route_usage("--prewarm needs an integer (0 = off)"),
-            },
-            other => return route_usage(&format!("unknown option `{other}`")),
+            "--help" | "-h" => return route_usage(""),
+            _ => daemon_args.extend(args[i..].iter().take(2).cloned()),
         }
         i += 2;
     }
+    let shard = match server::cli::parse_args(&daemon_args) {
+        Ok(Some(config)) => config,
+        Ok(None) => return route_usage(""),
+        Err(msg) => return route_usage(&msg),
+    };
+    let workers = shard.workers;
     let backend = match (backend_bin, attach) {
         (Some(_), Some(_)) => {
             return route_usage("--backend-bin and --attach are mutually exclusive")
         }
-        (Some(bin), None) => BackendSpec::Spawn {
-            bin,
-            workers,
-            capacity,
-            journal_dir,
-            compile_threads,
-            prewarm,
-        },
+        (Some(bin), None) => BackendSpec::Spawn { bin, config: shard },
         (None, Some(addrs)) => {
-            if journal_dir.is_some() {
+            if shard.journal_dir.is_some() {
                 return route_usage("--journal-dir applies to owned backends, not --attach");
             }
             BackendSpec::Attach { addrs }
         }
-        (None, None) => {
-            let mut config = server::ServerConfig::builder()
-                .workers(workers)
-                .session_capacity(capacity)
-                .compile_threads(compile_threads)
-                .prewarm(prewarm)
-                .build();
-            config.journal_dir = journal_dir;
-            BackendSpec::InProcess { config }
-        }
+        (None, None) => BackendSpec::InProcess { config: shard },
     };
     let config = builder.shards(shards).workers(workers).backend(backend).build();
     let router = match Router::bind(config) {
@@ -315,15 +284,18 @@ fn cmd_route(args: &[String]) -> ExitCode {
     }
 }
 
+/// Prints `msg` (if any) and the usage; `--help` alone exits 0.
 fn route_usage(msg: &str) -> ExitCode {
+    let usage = "usage: tbaac route [--addr HOST:PORT] [--socket PATH] [--shards N] \
+         [--backend-bin TBAAD | --attach ADDR[,ADDR...]] [daemon flags]\n  \
+         daemon flags (tbaad --help) configure every owned shard, with the daemon's \
+         defaults; --workers N also bounds requests executing at once in the router";
+    if msg.is_empty() {
+        println!("{usage}");
+        return ExitCode::SUCCESS;
+    }
     eprintln!("tbaac route: {msg}");
-    eprintln!(
-        "usage: tbaac route [--addr HOST:PORT] [--socket PATH] [--shards N] [--workers N] \
-         [--capacity N] [--journal-dir DIR] [--compile-threads N] [--prewarm N] \
-         [--backend-bin TBAAD | --attach ADDR[,ADDR...]]\n  \
-         --workers N  requests executing at once, in the router and in each owned shard \
-         (default 16)"
-    );
+    eprintln!("{usage}");
     ExitCode::FAILURE
 }
 

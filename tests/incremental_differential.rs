@@ -11,13 +11,16 @@
 //!   reply must match the from-scratch `Pipeline` oracle byte-for-byte,
 //!   and the `incr.*` counters must account for every unit walked.
 //! * **Exact `n−1` reuse** — a superseding load that differs from its
-//!   predecessor in exactly one function replays every other unit from
+//!   predecessor in exactly one function takes every other unit from
 //!   cache: `incr.func_hits` advances by exactly `n−1` and
-//!   `incr.func_misses` by exactly 1.
+//!   `incr.func_misses` by exactly 1 — also when the edit changes that
+//!   function's effects (a new access path shifts every module id after
+//!   it; the cached units are rebased, not re-lowered).
 //! * **Eviction + reload is an all-hit rebuild** — the unit cache lives
 //!   on the *store*, not the session, so recompiling a session the
-//!   capacity-1 LRU evicted replays every unit from cache while still
-//!   producing byte-exact replies.
+//!   capacity-1 LRU evicted takes every unit from cache while still
+//!   producing byte-exact replies. Every library-level program compared
+//!   also passes `tbaa_ir::verify`.
 
 use tbaa::analysis::Level;
 use tbaa::World;
@@ -242,16 +245,16 @@ const WALK_UNITS: i64 = 4;
 
 /// A superseding load differing in exactly one function advances
 /// `incr.func_hits` by exactly `n−1` and `incr.func_misses` by exactly
-/// 1 — and a session the capacity-1 LRU evicted rebuilds as an all-hit
-/// replay, because the unit cache belongs to the store, not the session.
+/// 1 — and a session the capacity-1 LRU evicted rebuilds from cached
+/// units alone, because the unit cache belongs to the store, not the
+/// session.
 #[test]
 fn one_function_edit_reuses_n_minus_1_and_eviction_reload_is_all_hit() {
     let base = Content::Source {
         text: WALK_BASE.to_string(),
     };
     let edited = Content::Source {
-        // A constant-only edit to `Mk`: the unit's text changes but its
-        // effect summary does not, so every downstream context is intact.
+        // A constant-only edit to `Mk`: only that unit's text changes.
         text: WALK_BASE.replace("b.val := v + 1;", "b.val := v + 2;"),
     };
     assert_ne!(base.key(), edited.key(), "the edit must change the content");
@@ -279,7 +282,7 @@ fn one_function_edit_reuses_n_minus_1_and_eviction_reload_is_all_hit() {
     assert_eq!(
         counter(&s, "incr.func_hits"),
         WALK_UNITS - 1,
-        "a one-function edit replays every other unit"
+        "a one-function edit reuses every other unit"
     );
     assert_eq!(
         counter(&s, "incr.func_misses"),
@@ -291,7 +294,7 @@ fn one_function_edit_reuses_n_minus_1_and_eviction_reload_is_all_hit() {
 
     // Reload the evicted base: the *session* is gone (fresh id, a real
     // recompile), but every one of its units is still in the store-level
-    // cache — the rebuild is an all-hit replay.
+    // cache — the rebuild is all hits.
     let (sid_base2, cached) = d.load(&base, &checker);
     assert!(!cached, "evicted session must recompile, not hit");
     assert_ne!(sid_base2, sid_base, "recompiled session gets a fresh id");
@@ -299,7 +302,7 @@ fn one_function_edit_reuses_n_minus_1_and_eviction_reload_is_all_hit() {
     assert_eq!(
         counter(&s, "incr.func_hits"),
         (WALK_UNITS - 1) + WALK_UNITS,
-        "eviction+reload replays all {WALK_UNITS} units from cache"
+        "eviction+reload takes all {WALK_UNITS} units from cache"
     );
     assert_eq!(
         counter(&s, "incr.func_misses"),
@@ -309,6 +312,53 @@ fn one_function_edit_reuses_n_minus_1_and_eviction_reload_is_all_hit() {
     assert_eq!(counter(&s, "sessions.compiles"), 3);
     sweep_queries(&mut d, &checker, &base, &sid_base2);
 
+    assert_eq!(checker.mismatches(), 0, "{:?}", checker.details());
+
+    handle.state().request_shutdown();
+    handle.join().expect("clean shutdown");
+}
+
+/// An edit that changes one function's effects — `Mk`, the first unit,
+/// now interns a new access path, `head.val`, which shifts every path id
+/// the later units use — still re-lowers only `Mk`: the other `n−1` units
+/// are absorbed from cache and rebased, and every reply stays
+/// byte-identical to the from-scratch oracle.
+#[test]
+fn effect_changing_edit_relowers_only_that_unit_through_the_daemon() {
+    let base = Content::Source {
+        text: WALK_BASE.to_string(),
+    };
+    let edited = Content::Source {
+        text: WALK_BASE.replace(
+            "b.next := head;",
+            "b.next := head;\n  IF head # NIL THEN b.val := head.val END;",
+        ),
+    };
+    assert_ne!(base.key(), edited.key(), "the edit must change the content");
+    let contents = vec![base.clone(), edited.clone()];
+    let checker = DiffChecker::new(&contents);
+
+    let handle = Server::bind(ServerConfig::builder().build())
+        .expect("bind")
+        .spawn();
+    let mut d = Driver::connect(handle.addr());
+
+    let (sid_base, _) = d.load(&base, &checker);
+    sweep_queries(&mut d, &checker, &base, &sid_base);
+    let (sid_edit, cached) = d.load(&edited, &checker);
+    assert!(!cached, "new content compiles");
+    let s = d.stats();
+    assert_eq!(
+        counter(&s, "incr.func_hits"),
+        WALK_UNITS - 1,
+        "every unit but the edited one comes from cache"
+    );
+    assert_eq!(
+        counter(&s, "incr.func_misses"),
+        WALK_UNITS + 1,
+        "the cold load, then only the edited unit"
+    );
+    sweep_queries(&mut d, &checker, &edited, &sid_edit);
     assert_eq!(checker.mismatches(), 0, "{:?}", checker.details());
 
     handle.state().request_shutdown();
@@ -327,6 +377,7 @@ fn incremental_programs_fingerprint_identical_to_fresh() {
             let (program, _report) = incr.compile(&source);
             let program = program.expect("mutate version compiles");
             let fresh = tbaa_ir::compile_to_ir(&source).expect("fresh compile");
+            tbaa_ir::verify(&program).expect("incremental program verifies");
             assert_eq!(
                 tbaa_ir::pretty::program(&program),
                 tbaa_ir::pretty::program(&fresh),

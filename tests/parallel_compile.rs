@@ -6,18 +6,19 @@
 //!
 //! * **Byte-identical programs** — every benchsuite program at scales
 //!   1/4/16 lowers to a bit-for-bit identical `Program` (pretty-printed
-//!   fingerprint) at 1, 2, and 4 forced lowering workers. The
-//!   `_with_workers` entry bypasses the host-core cap, so real fan-out
-//!   and ordered-merge run even on a single-core CI host.
+//!   fingerprint, each program passing `tbaa_ir::verify`) at 1, 2, and 4
+//!   forced lowering workers. The `_with_workers` entry bypasses the
+//!   host-core cap, so real fan-out and ordered-merge run even on a
+//!   single-core CI host.
 //! * **Byte-identical daemon replies** — two daemons, one configured
 //!   serial with prewarm off and one with `compile_threads = 4` and
 //!   prewarm on, serve byte-identical `load`/`alias`/`pairs`/`rle`
 //!   replies for every `Level::ALL` × world combination.
 //! * **Exact incremental walk after a parallel cold start** — a daemon
 //!   configured for parallel cold compiles still walks exactly `n−1`
-//!   unit hits / 1 miss on a one-function superseding edit: the
-//!   fan-out's captured effects chain the same context hashes the
-//!   serial walk would have.
+//!   unit hits / 1 miss on a one-function superseding edit: a unit's
+//!   cache key is its own text and the module header, and the fan-out
+//!   caches the same detached units a serial compile would.
 
 use tbaa::analysis::Level;
 use tbaa_bench::load::{LineSource, Wire};
@@ -41,11 +42,13 @@ fn benchsuite_lowers_byte_identical_at_any_worker_count() {
         for scale in SCALES {
             let src = b.source_at_scale(scale);
             let serial = tbaa_ir::compile_to_ir(&src).expect("benchsuite compiles");
+            tbaa_ir::verify(&serial).expect("serial lowering verifies");
             let fingerprint = tbaa_ir::pretty::program(&serial);
             for workers in WORKER_COUNTS {
                 let checked = mini_m3::compile(&src).expect("benchsuite checks");
                 let parallel = tbaa_ir::lower_parallel_with_workers(checked, workers)
                     .expect("benchsuite lowers");
+                tbaa_ir::verify(&parallel).expect("parallel lowering verifies");
                 assert_eq!(
                     tbaa_ir::pretty::program(&parallel),
                     fingerprint,
@@ -258,8 +261,8 @@ fn load_source(d: &mut Driver, source: &str) -> String {
 }
 
 /// A parallel cold compile seeds the unit cache with exactly the same
-/// per-unit effect summaries the serial walk records, so the follow-up
-/// one-function edit replays `n−1` units and re-lowers one — the same
+/// detached units a serial compile would, so the follow-up one-function
+/// edit takes `n−1` units from cache and re-lowers one — the same
 /// counter walk `incremental_differential.rs` pins for serial compiles.
 #[test]
 fn parallel_cold_compile_then_edit_walks_exactly_n_minus_one() {
@@ -280,7 +283,7 @@ fn parallel_cold_compile_then_edit_walks_exactly_n_minus_one() {
     assert_eq!(
         d.stats_counter("incr.func_hits"),
         WALK_UNITS - 1,
-        "one-function edit replays every other unit from the parallel cold start"
+        "one-function edit reuses every other unit from the parallel cold start"
     );
     assert_eq!(
         d.stats_counter("incr.func_misses"),
