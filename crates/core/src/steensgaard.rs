@@ -269,7 +269,7 @@ fn build_instr(prog: &Program, g: &mut Graph, fid: u32, instr: &Instr) {
             args,
             ..
         } => {
-            for target in crate_method_targets(prog, *recv_ty, method) {
+            for target in prog.method_targets(*recv_ty, method) {
                 bind_call(g, fid, target, args, dst);
             }
         }
@@ -295,22 +295,6 @@ fn bind_call(
         let dn = g.node(Key::Reg(fid, d.0));
         g.union(dn, ret);
     }
-}
-
-fn crate_method_targets(
-    prog: &Program,
-    recv_ty: mini_m3::types::TypeId,
-    method: &str,
-) -> Vec<FuncId> {
-    let mut out = Vec::new();
-    for t in prog.types.subtypes(recv_ty) {
-        if let Some(&f) = prog.method_impls.get(&(t, method.to_string())) {
-            if !out.contains(&f) {
-                out.push(f);
-            }
-        }
-    }
-    out
 }
 
 impl AliasAnalysis for Steensgaard {

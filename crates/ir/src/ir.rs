@@ -520,8 +520,9 @@ pub struct Program {
     pub symbols: SymbolTable,
     /// The AddressTaken facts.
     pub address_taken: AddressTakenInfo,
-    /// Dispatch table: `(object type, method) -> implementing function`.
-    pub method_impls: HashMap<(TypeId, String), FuncId>,
+    /// Dispatch table: `method -> object type -> implementing function`,
+    /// keyed by name first so a lookup by `&str` allocates nothing.
+    pub method_impls: HashMap<String, HashMap<TypeId, FuncId>>,
     /// Types that appear in NEW expressions (allocated at runtime).
     pub allocated_types: HashSet<TypeId>,
     /// All pointer-assignment merges for SMTypeRefs.
@@ -563,6 +564,23 @@ impl Program {
             .iter()
             .position(|f| f.name == name)
             .map(|i| FuncId(i as u32))
+    }
+
+    /// The functions a call of `method` on a receiver of static type
+    /// `recv_ty` can dispatch to: the implementation bound at each subtype
+    /// of `recv_ty`, in [`TypeTable::subtypes`] order, each once.
+    pub fn method_targets(&self, recv_ty: TypeId, method: &str) -> Vec<FuncId> {
+        let mut out = Vec::new();
+        if let Some(impls) = self.method_impls.get(method) {
+            for t in self.types.subtypes(recv_ty) {
+                if let Some(&f) = impls.get(&t) {
+                    if !out.contains(&f) {
+                        out.push(f);
+                    }
+                }
+            }
+        }
+        out
     }
 
     /// Total static instruction count.
@@ -684,6 +702,27 @@ mod tests {
             src: Operand::ImmInt(1),
         };
         assert_eq!(s.dst(), None);
+    }
+
+    #[test]
+    fn method_targets_by_hierarchy() {
+        let p = crate::compile_to_ir(
+            "MODULE M;
+             TYPE
+               A = OBJECT METHODS m () := MA; END;
+               B = A OBJECT OVERRIDES m := MB; END;
+             PROCEDURE MA (self: A) = BEGIN END MA;
+             PROCEDURE MB (self: B) = BEGIN END MB;
+             VAR a: A;
+             BEGIN a := NEW(B); a.m(); END M.",
+        )
+        .unwrap();
+        let a = p.types.by_name("A").unwrap();
+        let b = p.types.by_name("B").unwrap();
+        let ts = p.method_targets(a, "m");
+        assert_eq!(ts.len(), 2);
+        let ts_b = p.method_targets(b, "m");
+        assert_eq!(ts_b.len(), 1);
     }
 
     #[test]

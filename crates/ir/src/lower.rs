@@ -293,12 +293,13 @@ fn assemble(lw: Lowerer) -> Result<Program, Diagnostics> {
         Err(lw.diags)
     } else {
         let main = FuncId(lw.checked.main.0);
-        let method_impls = lw
-            .checked
-            .method_impls
-            .iter()
-            .map(|(&(t, ref m), &p)| ((t, m.clone()), FuncId(p.0)))
-            .collect();
+        let mut method_impls: HashMap<String, HashMap<TypeId, FuncId>> = HashMap::new();
+        for (&(t, ref m), &p) in &lw.checked.method_impls {
+            method_impls
+                .entry(m.clone())
+                .or_default()
+                .insert(t, FuncId(p.0));
+        }
         // Reclaim the checked module's type table when this lowering
         // holds the last reference (always true once the detached
         // workers have joined); a still-shared module pays one clone.
@@ -1914,7 +1915,7 @@ mod tests {
             1
         );
         let t = p.types.by_name("T").unwrap();
-        assert!(p.method_impls.contains_key(&(t, "get".to_string())));
+        assert!(p.method_impls["get"].contains_key(&t));
     }
 
     #[test]

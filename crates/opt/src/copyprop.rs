@@ -19,7 +19,7 @@
 //! study uses this as a shadow pass to attribute remaining redundancy,
 //! and the benches use it as an ablation.
 
-use crate::modref::{method_targets, ModRef};
+use crate::modref::ModRef;
 use std::collections::{HashMap, HashSet};
 use tbaa::analysis::AliasAnalysis;
 use tbaa_ir::cfg::Cfg;
@@ -350,22 +350,8 @@ fn instr_may_modify(
                 }
             })
         }
-        Instr::Call { .. } | Instr::CallMethod { .. } => {
-            let sums: Vec<_> = match instr {
-                Instr::Call { func, .. } => vec![modref.summary(*func).clone()],
-                Instr::CallMethod {
-                    method, recv_ty, ..
-                } => method_targets(prog, *recv_ty, method)
-                    .into_iter()
-                    .map(|f| modref.summary(f).clone())
-                    .collect(),
-                _ => unreachable!(),
-            };
-            let addr_aps: &[ApId] = match instr {
-                Instr::Call { addr_aps, .. } | Instr::CallMethod { addr_aps, .. } => addr_aps,
-                _ => &[],
-            };
-            sums.iter().any(|s| {
+        Instr::Call { addr_aps, .. } | Instr::CallMethod { addr_aps, .. } => {
+            modref.callees(instr).any(|s| {
                 (s.wild_store
                     && prefix_ids
                         .iter()

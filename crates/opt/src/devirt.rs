@@ -42,13 +42,15 @@ pub fn devirtualize(prog: &mut Program, analysis: &Tbaa) -> DevirtStats {
                 };
                 stats.sites += 1;
                 let mut targets: HashSet<FuncId> = HashSet::new();
-                for t in analysis
-                    .possible_types(*recv_ty)
-                    .iter()
-                    .filter(|t| allocated.contains(t))
-                {
-                    if let Some(&f) = prog.method_impls.get(&(t, method.clone())) {
-                        targets.insert(f);
+                if let Some(impls) = prog.method_impls.get(method) {
+                    for t in analysis
+                        .possible_types(*recv_ty)
+                        .iter()
+                        .filter(|t| allocated.contains(t))
+                    {
+                        if let Some(&f) = impls.get(&t) {
+                            targets.insert(f);
+                        }
                     }
                 }
                 if targets.len() == 1 {

@@ -16,8 +16,8 @@
 //! This is a backward all-paths dataflow over the same interned path
 //! universe RLE uses.
 
-use crate::modref::{method_targets, ModRef, Summary};
-use crate::rle::{build_ctx, Avail, KillCtx};
+use crate::modref::ModRef;
+use crate::rle::{build_ctx, Avail, KillCtx, Meet};
 use std::collections::HashMap;
 use tbaa::analysis::AliasAnalysis;
 use tbaa_ir::cfg::Cfg;
@@ -60,102 +60,45 @@ pub fn run_dse(prog: &mut Program, analysis: &dyn AliasAnalysis) -> DseStats {
 
 /// Backward transfer: `dead` holds path indices that will definitely be
 /// overwritten before any potential read.
-fn transfer_back(
-    instr: &Instr,
-    dead: &mut Avail,
-    ctx: &KillCtx<'_>,
-    summaries: &dyn Fn(&Instr) -> Vec<Summary>,
-) {
-    let n = ctx.n();
+fn transfer_back(instr: &Instr, dead: &mut Avail, ctx: &KillCtx<'_>) {
     match instr {
         Instr::StoreMem { ap, .. } => {
             if let Some(i) = ctx.idx(*ap) {
                 dead.set(i);
             }
         }
-        Instr::LoadMem { ap, .. } => {
-            // Any may-aliased read revives the location. (Hidden dope
-            // loads read the dope slot, which is never stored, but go
-            // through the same may-alias test for uniformity.)
-            let revived: Vec<usize> = dead
-                .iter_set(n)
-                .filter(|&i| ctx.analysis_may_alias(*ap, i))
-                .collect();
-            for i in revived {
-                dead.clear(i);
-            }
-        }
-        Instr::LoadInd { .. } => {
-            let revived: Vec<usize> = dead.iter_set(n).filter(|&i| ctx.wild_kills(i)).collect();
-            for i in revived {
-                dead.clear(i);
-            }
-        }
-        Instr::StoreSlot { addr, .. } => {
-            // A root/index variable changes: pending overwrites above this
-            // point would hit a different location.
-            let dropped: Vec<usize> = dead
-                .iter_set(n)
-                .filter(|&i| match addr.base {
-                    SlotBase::Local(v) => ctx.mentions_var(i, v),
-                    SlotBase::Global(g) => ctx.mentions_global(i, g),
+        // Any may-aliased read revives the location. (Hidden dope loads
+        // read the dope slot, which is never stored, but go through the
+        // same may-alias test for uniformity.)
+        Instr::LoadMem { ap, .. } => dead.clear_where(|i| ctx.analysis_may_alias(*ap, i)),
+        Instr::LoadInd { .. } => dead.clear_where(|i| ctx.wild_kills(i)),
+        // A root/index variable changes: pending overwrites above this
+        // point would hit a different location.
+        Instr::StoreSlot { addr, .. } => dead.clear_where(|i| match addr.base {
+            SlotBase::Local(v) => ctx.mentions_var(i, v),
+            SlotBase::Global(g) => ctx.mentions_global(i, g),
+        }),
+        // An indirect store may target the same location through an
+        // alias; treating it as an overwrite would need must-alias, and it
+        // may also be *read* downstream through the location — drop
+        // everything addressable.
+        Instr::StoreInd { .. } => dead.clear_where(|i| ctx.wild_kills(i)),
+        Instr::Call { addr_aps, .. } | Instr::CallMethod { addr_aps, .. } => {
+            let callees = ctx.modref.callees(instr);
+            dead.clear_where(|i| {
+                callees.clone().any(|s| {
+                    ((s.wild_load || s.wild_store) && ctx.wild_kills(i))
+                        || s.loads.iter().any(|&l| ctx.analysis_may_alias(l, i))
+                        // Callee stores are may-stores, not must-overwrites:
+                        // they do not make anything dead, and a store the
+                        // callee performs may also be to a *different*
+                        // object of the same path shape, so conservatively
+                        // drop deadness for may-aliased paths too.
+                        || s.stores.iter().any(|&st| ctx.analysis_may_alias(st, i))
                 })
-                .collect();
-            for i in dropped {
-                dead.clear(i);
-            }
-        }
-        Instr::StoreInd { .. } => {
-            // An indirect store may target the same location through an
-            // alias; treating it as an overwrite would need must-alias,
-            // and it may also be *read* downstream through the location —
-            // drop everything addressable.
-            let dropped: Vec<usize> = dead.iter_set(n).filter(|&i| ctx.wild_kills(i)).collect();
-            for i in dropped {
-                dead.clear(i);
-            }
-        }
-        Instr::Call { .. } | Instr::CallMethod { .. } => {
-            let sums = summaries(instr);
-            let mut drop_idx: Vec<usize> = Vec::new();
-            for i in dead.iter_set(n) {
-                let mut revived = false;
-                for s in &sums {
-                    if (s.wild_load || s.wild_store) && ctx.wild_kills(i) {
-                        revived = true;
-                        break;
-                    }
-                    if s.loads.iter().any(|&l| ctx.analysis_may_alias(l, i)) {
-                        revived = true;
-                        break;
-                    }
-                    // Callee stores are may-stores, not must-overwrites:
-                    // they do not make anything dead, and a store the
-                    // callee performs may also be to a *different* object
-                    // of the same path shape, so conservatively drop
-                    // deadness for may-aliased paths too.
-                    if s.stores.iter().any(|&st| ctx.analysis_may_alias(st, i)) {
-                        revived = true;
-                        break;
-                    }
-                }
-                if revived {
-                    drop_idx.push(i);
-                }
-            }
-            // Also: location values passed by address may be read inside.
-            if let Instr::Call { addr_aps, .. } | Instr::CallMethod { addr_aps, .. } = instr {
-                for &a in addr_aps {
-                    for i in dead.iter_set(n) {
-                        if ctx.analysis_may_alias(a, i) {
-                            drop_idx.push(i);
-                        }
-                    }
-                }
-            }
-            for i in drop_idx {
-                dead.clear(i);
-            }
+                // Location values passed by address may be read inside.
+                || addr_aps.iter().any(|&a| ctx.analysis_may_alias(a, i))
+            });
         }
         _ => {}
     }
@@ -167,102 +110,61 @@ fn dse_function(
     analysis: &dyn AliasAnalysis,
     modref: &ModRef,
 ) -> usize {
-    let Some(ctx) = build_ctx(prog, fid, analysis) else {
+    let Some(ctx) = build_ctx(prog, fid, analysis, modref) else {
         return 0;
     };
     let n = ctx.n();
     let cfg = Cfg::new(prog.func(fid));
     let nb = prog.func(fid).blocks.len();
-    let dead_sites: Vec<(BlockId, usize)> = {
-        // Precompute method summaries without borrowing prog inside the
-        // rewrite phase.
-        let mut method_sums: HashMap<(u32, String), Vec<Summary>> = HashMap::new();
-        for b in &prog.func(fid).blocks {
-            for instr in &b.instrs {
-                if let Instr::CallMethod {
-                    recv_ty, method, ..
-                } = instr
-                {
-                    method_sums
-                        .entry((recv_ty.0, method.clone()))
-                        .or_insert_with(|| {
-                            method_targets(prog, *recv_ty, method)
-                                .into_iter()
-                                .map(|f| modref.summary(f).clone())
-                                .collect()
-                        });
-                }
-            }
+    // OUT of a block: empty at an exit, else the intersection of its
+    // successors' IN.
+    let out_of = |ins: &[Avail], bi: usize| {
+        let succs = &cfg.succs[bi];
+        if succs.is_empty() {
+            return Avail::empty(n);
         }
-        let summaries = move |instr: &Instr| -> Vec<Summary> {
-            match instr {
-                Instr::Call { func, .. } => vec![modref.summary(*func).clone()],
-                Instr::CallMethod {
-                    recv_ty, method, ..
-                } => method_sums
-                    .get(&(recv_ty.0, method.clone()))
-                    .cloned()
-                    .unwrap_or_default(),
-                _ => Vec::new(),
-            }
-        };
-
-        // Backward dataflow: OUT(exit) = ∅; meet over successors is
-        // intersection; unknown blocks start universal.
-        let mut ins: Vec<Avail> = (0..nb).map(|_| Avail::universal(n)).collect();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in cfg.rpo.iter().rev() {
-                let bi = b.0 as usize;
-                let succs = &cfg.succs[bi];
-                let mut dead = if succs.is_empty() {
-                    Avail::empty(n)
-                } else {
-                    let mut acc = Avail::universal(n);
-                    for &s in succs {
-                        acc.intersect_assign(&ins[s.0 as usize]);
-                    }
-                    acc
-                };
-                for instr in prog.func(fid).blocks[bi].instrs.iter().rev() {
-                    transfer_back(instr, &mut dead, &ctx, &summaries);
-                }
-                if dead != ins[bi] {
-                    ins[bi] = dead;
-                    changed = true;
-                }
-            }
+        let mut acc = Avail::universal(n);
+        for &s in succs {
+            acc.meet(&ins[s.0 as usize], Meet::Must);
         }
-
-        // Identify dead stores: re-walk each block backward with the
-        // converged successor state.
-        let mut sites = Vec::new();
-        for &b in &cfg.rpo {
-            let bi = b.0 as usize;
-            let succs = &cfg.succs[bi];
-            let mut dead = if succs.is_empty() {
-                Avail::empty(n)
-            } else {
-                let mut acc = Avail::universal(n);
-                for &s in succs {
-                    acc.intersect_assign(&ins[s.0 as usize]);
-                }
-                acc
-            };
-            for (ii, instr) in prog.func(fid).blocks[bi].instrs.iter().enumerate().rev() {
-                if let Instr::StoreMem { ap, .. } = instr {
-                    if let Some(i) = ctx.idx(*ap) {
-                        if dead.contains(i) {
-                            sites.push((b, ii));
-                        }
-                    }
-                }
-                transfer_back(instr, &mut dead, &ctx, &summaries);
-            }
-        }
-        sites
+        acc
     };
+
+    // Backward dataflow: unknown blocks start universal.
+    let mut ins: Vec<Avail> = (0..nb).map(|_| Avail::universal(n)).collect();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &b in cfg.rpo.iter().rev() {
+            let bi = b.0 as usize;
+            let mut dead = out_of(&ins, bi);
+            for instr in prog.func(fid).blocks[bi].instrs.iter().rev() {
+                transfer_back(instr, &mut dead, &ctx);
+            }
+            if dead != ins[bi] {
+                ins[bi] = dead;
+                changed = true;
+            }
+        }
+    }
+
+    // Identify dead stores: re-walk each block backward with the
+    // converged successor state.
+    let mut dead_sites: Vec<(BlockId, usize)> = Vec::new();
+    for &b in &cfg.rpo {
+        let bi = b.0 as usize;
+        let mut dead = out_of(&ins, bi);
+        for (ii, instr) in prog.func(fid).blocks[bi].instrs.iter().enumerate().rev() {
+            if let Instr::StoreMem { ap, .. } = instr {
+                if let Some(i) = ctx.idx(*ap) {
+                    if dead.contains(i) {
+                        dead_sites.push((b, ii));
+                    }
+                }
+            }
+            transfer_back(instr, &mut dead, &ctx);
+        }
+    }
 
     let count = dead_sites.len();
     let func = prog.func_mut(fid);

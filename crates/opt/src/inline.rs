@@ -95,7 +95,7 @@ fn reaches(prog: &Program, from: FuncId, to: FuncId) -> bool {
                         method, recv_ty, ..
                     } => {
                         stack.extend(
-                            crate::modref::method_targets(prog, *recv_ty, method)
+                            prog.method_targets(*recv_ty, method)
                                 .into_iter()
                                 .map(|t| (t, false)),
                         );

@@ -13,12 +13,12 @@
 
 use mini_m3::check::GlobalId;
 use mini_m3::types::TypeId;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use tbaa_ir::ir::{Instr, Program, SlotBase};
 use tbaa_ir::path::{ApId, FuncId};
 
 /// What one function (transitively) reads and writes.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Summary {
     /// Heap access paths possibly stored to.
     pub stores: HashSet<ApId>,
@@ -35,10 +35,63 @@ pub struct Summary {
     pub wild_load: bool,
 }
 
-/// Mod-ref summaries for every function of a program.
-#[derive(Debug, Clone)]
+/// Mod-ref summaries for every function of a program, and the callees of
+/// each of its call instructions.
+#[derive(Debug)]
 pub struct ModRef {
     summaries: Vec<Summary>,
+    dispatch: Dispatch,
+}
+
+/// The dispatch targets of every `(method, receiver type)` pair the
+/// program calls, resolved once.
+#[derive(Debug)]
+struct Dispatch(HashMap<String, HashMap<TypeId, Vec<FuncId>>>);
+
+impl Dispatch {
+    fn resolve(prog: &Program) -> Self {
+        let mut by_method: HashMap<String, HashMap<TypeId, Vec<FuncId>>> = HashMap::new();
+        for f in &prog.funcs {
+            for b in &f.blocks {
+                for instr in &b.instrs {
+                    let Instr::CallMethod {
+                        method, recv_ty, ..
+                    } = instr
+                    else {
+                        continue;
+                    };
+                    if !by_method.contains_key(method) {
+                        by_method.insert(method.clone(), HashMap::new());
+                    }
+                    let by_ty = by_method.get_mut(method).expect("inserted above");
+                    by_ty
+                        .entry(*recv_ty)
+                        .or_insert_with(|| prog.method_targets(*recv_ty, method));
+                }
+            }
+        }
+        Dispatch(by_method)
+    }
+
+    /// The functions `call` can reach: its callee, or every target of its
+    /// method; none for an instruction that is not a call.
+    ///
+    /// # Panics
+    ///
+    /// On a method call whose pair the resolved program did not contain.
+    fn targets<'a>(&'a self, call: &'a Instr) -> &'a [FuncId] {
+        match call {
+            Instr::Call { func, .. } => std::slice::from_ref(func),
+            Instr::CallMethod {
+                method, recv_ty, ..
+            } => self
+                .0
+                .get(method)
+                .and_then(|by_ty| by_ty.get(recv_ty))
+                .expect("method call resolved when the ModRef was built"),
+            _ => &[],
+        }
+    }
 }
 
 impl ModRef {
@@ -59,8 +112,8 @@ impl ModRef {
     /// # Ok::<(), mini_m3::Diagnostics>(())
     /// ```
     pub fn build(prog: &Program) -> Self {
-        let n = prog.funcs.len();
-        let mut sums: Vec<Summary> = vec![Summary::default(); n];
+        let dispatch = Dispatch::resolve(prog);
+        let mut sums: Vec<Summary> = prog.funcs.iter().map(|_| Summary::default()).collect();
         // Seed with local facts.
         for (i, f) in prog.funcs.iter().enumerate() {
             let s = &mut sums[i];
@@ -92,21 +145,18 @@ impl ModRef {
             for (i, f) in prog.funcs.iter().enumerate() {
                 for b in &f.blocks {
                     for instr in &b.instrs {
-                        let (targets, addr_aps, addr_slots) = match instr {
-                            Instr::Call {
-                                func,
-                                addr_aps,
-                                addr_slots,
-                                ..
-                            } => (vec![*func], addr_aps, addr_slots),
-                            Instr::CallMethod {
-                                method,
-                                recv_ty,
-                                addr_aps,
-                                addr_slots,
-                                ..
-                            } => (method_targets(prog, *recv_ty, method), addr_aps, addr_slots),
-                            _ => continue,
+                        let (Instr::Call {
+                            addr_aps,
+                            addr_slots,
+                            ..
+                        }
+                        | Instr::CallMethod {
+                            addr_aps,
+                            addr_slots,
+                            ..
+                        }) = instr
+                        else {
+                            continue;
                         };
                         // Merge every target's summary into ours.
                         let mut add_stores: Vec<ApId> = Vec::new();
@@ -114,7 +164,7 @@ impl ModRef {
                         let mut add_globals: Vec<GlobalId> = Vec::new();
                         let mut wild = false;
                         let mut wildl = false;
-                        for t in targets {
+                        for t in dispatch.targets(instr) {
                             let cs = &sums[t.0 as usize];
                             add_stores.extend(cs.stores.iter().copied());
                             add_loads.extend(cs.loads.iter().copied());
@@ -154,27 +204,31 @@ impl ModRef {
                 }
             }
         }
-        ModRef { summaries: sums }
+        ModRef {
+            summaries: sums,
+            dispatch,
+        }
     }
 
     /// The summary for one function.
     pub fn summary(&self, f: FuncId) -> &Summary {
         &self.summaries[f.0 as usize]
     }
-}
 
-/// The set of functions a method call could dispatch to, by declared
-/// receiver type (every subtype with a bound implementation).
-pub fn method_targets(prog: &Program, recv_ty: TypeId, method: &str) -> Vec<FuncId> {
-    let mut out = Vec::new();
-    for t in prog.types.subtypes(recv_ty) {
-        if let Some(&f) = prog.method_impls.get(&(t, method.to_string())) {
-            if !out.contains(&f) {
-                out.push(f);
-            }
-        }
+    /// The summaries of every function `call` can reach (none if it is not
+    /// a call). Every client asks this one question of a call site.
+    ///
+    /// # Panics
+    ///
+    /// On a method call whose `(receiver type, method)` pair was not in the
+    /// program this was built from: that is a stale `ModRef`, never a call
+    /// with no callees.
+    pub(crate) fn callees<'a>(
+        &'a self,
+        call: &'a Instr,
+    ) -> impl Iterator<Item = &'a Summary> + Clone + 'a {
+        self.dispatch.targets(call).iter().map(|&f| self.summary(f))
     }
-    out
 }
 
 #[cfg(test)]
@@ -283,23 +337,44 @@ mod tests {
     }
 
     #[test]
-    fn method_targets_by_hierarchy() {
+    fn callees_lend_every_dispatch_target() {
         let p = compile_to_ir(
             "MODULE M;
              TYPE
-               A = OBJECT METHODS m () := MA; END;
+               A = OBJECT f: INTEGER; METHODS m () := MA; END;
                B = A OBJECT OVERRIDES m := MB; END;
              PROCEDURE MA (self: A) = BEGIN END MA;
-             PROCEDURE MB (self: B) = BEGIN END MB;
+             PROCEDURE MB (self: B) = BEGIN self.f := 1 END MB;
              VAR a: A;
              BEGIN a := NEW(B); a.m(); END M.",
         )
         .unwrap();
-        let a = p.types.by_name("A").unwrap();
-        let b = p.types.by_name("B").unwrap();
-        let ts = method_targets(&p, a, "m");
-        assert_eq!(ts.len(), 2);
-        let ts_b = method_targets(&p, b, "m");
-        assert_eq!(ts_b.len(), 1);
+        let mr = ModRef::build(&p);
+        let call = p
+            .func(p.main)
+            .blocks
+            .iter()
+            .flat_map(|b| &b.instrs)
+            .find(|i| matches!(i, Instr::CallMethod { .. }))
+            .expect("a.m() is a method call");
+        let stores: Vec<usize> = mr.callees(call).map(|s| s.stores.len()).collect();
+        assert_eq!(stores.len(), 2, "MA and MB");
+        assert_eq!(stores.iter().sum::<usize>(), 1, "only MB stores");
+    }
+
+    #[test]
+    #[should_panic(expected = "resolved when the ModRef was built")]
+    fn a_method_pair_not_resolved_at_build_panics() {
+        let p = compile_to_ir("MODULE M; BEGIN END M.").unwrap();
+        let mr = ModRef::build(&p);
+        let stale = Instr::CallMethod {
+            dst: None,
+            method: "m".to_string(),
+            recv_ty: p.types.integer(),
+            args: vec![],
+            addr_aps: vec![],
+            addr_slots: vec![],
+        };
+        let _ = mr.callees(&stale).count();
     }
 }

@@ -18,12 +18,12 @@
 //!   the insertion point (one-step paths rooted at variables).
 
 use crate::modref::ModRef;
-use crate::rle::{build_ctx, callee_summaries, run_rle, transfer, Avail, RleStats};
+use crate::rle::{build_ctx, run_rle, solve, transfer, Avail, Meet, RleStats};
 use std::collections::HashMap;
 use tbaa::analysis::AliasAnalysis;
 use tbaa_ir::cfg::{Cfg, PostDoms};
 use tbaa_ir::ir::{BlockId, Instr, MemAddr, Operand, Program, Reg, SlotAddr, Terminator};
-use tbaa_ir::path::FuncId;
+use tbaa_ir::path::{ApId, FuncId};
 
 /// What PRE did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -103,55 +103,14 @@ fn pre_function(
     analysis: &dyn AliasAnalysis,
     modref: &ModRef,
 ) -> usize {
-    let Some(ctx) = build_ctx(prog, fid, analysis) else {
+    let Some(ctx) = build_ctx(prog, fid, analysis, modref) else {
         return 0;
     };
-    let n = ctx.n();
     let cfg = Cfg::new(prog.func(fid));
     let pdoms = PostDoms::new(&cfg);
     let insertions: Vec<Insertion> = {
-        let summaries = callee_summaries(prog, modref);
-        let nb = prog.func(fid).blocks.len();
-
-        // Must/may dataflow (same fixpoint as rle::availability_sites).
-        let mut must_out: Vec<Avail> = (0..nb).map(|_| Avail::universal(n)).collect();
-        let mut may_out: Vec<Avail> = (0..nb).map(|_| Avail::empty(n)).collect();
-        let mut must_in: Vec<Avail> = (0..nb).map(|_| Avail::universal(n)).collect();
-        let mut may_in: Vec<Avail> = (0..nb).map(|_| Avail::empty(n)).collect();
-        must_in[0] = Avail::empty(n);
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in &cfg.rpo {
-                let bi = b.0 as usize;
-                let mut must = if bi == 0 {
-                    Avail::empty(n)
-                } else {
-                    let mut acc = Avail::universal(n);
-                    for &p in &cfg.preds[bi] {
-                        acc.intersect_assign(&must_out[p.0 as usize]);
-                    }
-                    acc
-                };
-                let mut may = Avail::empty(n);
-                for &p in &cfg.preds[bi] {
-                    for w in 0..may.0.len() {
-                        may.0[w] |= may_out[p.0 as usize].0[w];
-                    }
-                }
-                must_in[bi] = must.clone();
-                may_in[bi] = may.clone();
-                for instr in &prog.func(fid).blocks[bi].instrs {
-                    transfer(instr, &mut must, &ctx, 0, &summaries);
-                    transfer(instr, &mut may, &ctx, 0, &summaries);
-                }
-                if must != must_out[bi] || may != may_out[bi] {
-                    must_out[bi] = must;
-                    may_out[bi] = may;
-                    changed = true;
-                }
-            }
-        }
+        let must_flow = solve(prog.func(fid), &cfg, &ctx, Meet::Must);
+        let may_in = solve(prog.func(fid), &cfg, &ctx, Meet::May).ins;
 
         // Reg -> unique defining instruction (if any), for rematerialization.
         let mut reg_def: HashMap<u32, Option<Instr>> = HashMap::new();
@@ -186,7 +145,7 @@ fn pre_function(
             if cfg.preds[bi].len() < 2 {
                 continue; // only joins are interesting
             }
-            let mut must = must_in[bi].clone();
+            let mut must = must_flow.ins[bi].clone();
             let mut may = may_in[bi].clone();
             for instr in &prog.func(fid).blocks[bi].instrs {
                 if let Instr::LoadMem {
@@ -205,7 +164,16 @@ fn pre_function(
                             && !planned.contains(&(b.0, idx))
                         {
                             if let Some(plan) = plan_insertions(
-                                prog, fid, &cfg, &pdoms, b, idx, addr, &must_out, &remat_op,
+                                prog,
+                                fid,
+                                &cfg,
+                                &pdoms,
+                                b,
+                                idx,
+                                addr,
+                                *ap,
+                                &must_flow.outs,
+                                &remat_op,
                             ) {
                                 planned.insert((b.0, idx));
                                 insertions.extend(plan);
@@ -213,8 +181,8 @@ fn pre_function(
                         }
                     }
                 }
-                transfer(instr, &mut must, &ctx, 0, &summaries);
-                transfer(instr, &mut may, &ctx, 0, &summaries);
+                transfer(instr, &mut must, &ctx);
+                transfer(instr, &mut may, &ctx);
             }
         }
         insertions
@@ -235,8 +203,9 @@ fn pre_function(
     count
 }
 
-/// Plans compensating loads for path index `idx` at join block `b`, or
-/// `None` if any lacking predecessor fails the safety conditions.
+/// Plans compensating loads of `ap` (path index `idx`, at `addr`) for
+/// join block `b`, or `None` if any lacking predecessor fails the safety
+/// conditions.
 #[allow(clippy::too_many_arguments)]
 fn plan_insertions(
     prog: &Program,
@@ -246,6 +215,7 @@ fn plan_insertions(
     b: BlockId,
     idx: usize,
     addr: &MemAddr,
+    ap: ApId,
     must_out: &[Avail],
     remat_op: RematOp<'_>,
 ) -> Option<Vec<Insertion>> {
@@ -298,10 +268,6 @@ fn plan_insertions(
         }
         let dst = Reg(next_reg);
         next_reg += 1;
-        // Re-find the ApId: it is the same path, so reuse the site's id via
-        // the address we planned for (the caller's `idx` is its dense
-        // index; the ApId itself comes from the interesting list).
-        let ap = ap_of_index(prog, fid, idx)?;
         instrs.push(Instr::LoadMem {
             dst,
             addr: MemAddr {
@@ -319,33 +285,6 @@ fn plan_insertions(
     } else {
         Some(out)
     }
-}
-
-/// Recovers the ApId for a dense index by rebuilding the interesting
-/// list the same way `build_ctx` does (stable ordering).
-fn ap_of_index(prog: &Program, fid: FuncId, idx: usize) -> Option<tbaa_ir::path::ApId> {
-    let mut seen = std::collections::HashSet::new();
-    let mut i = 0usize;
-    for b in &prog.func(fid).blocks {
-        for instr in &b.instrs {
-            let ap = match instr {
-                Instr::LoadMem {
-                    ap, hidden: false, ..
-                } => Some(*ap),
-                Instr::StoreMem { ap, .. } => Some(*ap),
-                _ => None,
-            };
-            if let Some(ap) = ap {
-                if prog.aps.path(ap).is_canonical() && seen.insert(ap) {
-                    if i == idx {
-                        return Some(ap);
-                    }
-                    i += 1;
-                }
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]

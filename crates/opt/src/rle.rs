@@ -21,12 +21,12 @@
 //! "leaving it up to the back end to place the hoisted memory reference in
 //! a register", as the paper puts it.
 
-use crate::modref::{method_targets, ModRef, Summary};
+use crate::modref::ModRef;
 use mini_m3::check::GlobalId;
 use std::collections::{HashMap, HashSet};
 use tbaa::analysis::AliasAnalysis;
 use tbaa_ir::cfg::{ensure_preheader, Cfg, NaturalLoop};
-use tbaa_ir::ir::BlockId;
+use tbaa_ir::ir::{BlockId, Function};
 use tbaa_ir::ir::{Instr, Operand, Program, SlotAddr, SlotBase, VarClass, VarDecl};
 use tbaa_ir::path::{ApId, ApTable, FuncId, VarId};
 
@@ -77,57 +77,18 @@ pub fn availability_sites(
     let mut out = HashMap::new();
     for i in 0..prog.funcs.len() {
         let fid = FuncId(i as u32);
-        let Some(ctx) = build_ctx(prog, fid, analysis) else {
+        let Some(ctx) = build_ctx(prog, fid, analysis, &modref) else {
             continue;
         };
-        let n = ctx.n();
-        let cfg = Cfg::new(prog.func(fid));
-        let summaries = callee_summaries(prog, &modref);
-        let nb = prog.func(fid).blocks.len();
-        // MUST: intersection meet, universal init; MAY: union meet, empty init.
-        let mut must_in: Vec<Avail> = (0..nb).map(|_| Avail::universal(n)).collect();
-        let mut must_out: Vec<Avail> = (0..nb).map(|_| Avail::universal(n)).collect();
-        let mut may_in: Vec<Avail> = (0..nb).map(|_| Avail::empty(n)).collect();
-        let mut may_out: Vec<Avail> = (0..nb).map(|_| Avail::empty(n)).collect();
-        must_in[0] = Avail::empty(n);
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in &cfg.rpo {
-                let bi = b.0 as usize;
-                let mut must = if bi == 0 {
-                    Avail::empty(n)
-                } else {
-                    let mut acc = Avail::universal(n);
-                    for &p in &cfg.preds[bi] {
-                        acc.intersect_assign(&must_out[p.0 as usize]);
-                    }
-                    acc
-                };
-                let mut may = Avail::empty(n);
-                for &p in &cfg.preds[bi] {
-                    for w in 0..may.0.len() {
-                        may.0[w] |= may_out[p.0 as usize].0[w];
-                    }
-                }
-                must_in[bi] = must.clone();
-                may_in[bi] = may.clone();
-                for instr in &prog.func(fid).blocks[bi].instrs {
-                    transfer(instr, &mut must, &ctx, 0, &summaries);
-                    transfer(instr, &mut may, &ctx, 0, &summaries);
-                }
-                if must != must_out[bi] || may != may_out[bi] {
-                    must_out[bi] = must;
-                    may_out[bi] = may;
-                    changed = true;
-                }
-            }
-        }
+        let func = prog.func(fid);
+        let cfg = Cfg::new(func);
+        let must_in = solve(func, &cfg, &ctx, Meet::Must).ins;
+        let may_in = solve(func, &cfg, &ctx, Meet::May).ins;
         for &b in &cfg.rpo {
             let bi = b.0 as usize;
             let mut must = must_in[bi].clone();
             let mut may = may_in[bi].clone();
-            for (ii, instr) in prog.func(fid).blocks[bi].instrs.iter().enumerate() {
+            for (ii, instr) in func.blocks[bi].instrs.iter().enumerate() {
                 if let Instr::LoadMem {
                     ap, hidden: false, ..
                 } = instr
@@ -142,8 +103,8 @@ pub fn availability_sites(
                         );
                     }
                 }
-                transfer(instr, &mut must, &ctx, 0, &summaries);
-                transfer(instr, &mut may, &ctx, 0, &summaries);
+                transfer(instr, &mut must, &ctx);
+                transfer(instr, &mut may, &ctx);
             }
         }
     }
@@ -180,25 +141,95 @@ impl Avail {
     pub(crate) fn set(&mut self, i: usize) {
         self.0[i / 64] |= 1 << (i % 64);
     }
-    pub(crate) fn clear(&mut self, i: usize) {
-        self.0[i / 64] &= !(1 << (i % 64));
-    }
     pub(crate) fn contains(&self, i: usize) -> bool {
         self.0[i / 64] & (1 << (i % 64)) != 0
     }
-    pub(crate) fn intersect_assign(&mut self, o: &Avail) {
+    /// Meets `o` into `self` at a join.
+    pub(crate) fn meet(&mut self, o: &Avail, meet: Meet) {
         for (a, b) in self.0.iter_mut().zip(o.0.iter()) {
-            *a &= b;
+            match meet {
+                Meet::Must => *a &= b,
+                Meet::May => *a |= b,
+            }
         }
     }
-    pub(crate) fn iter_set(&self, n: usize) -> impl Iterator<Item = usize> + '_ {
-        (0..n).filter(move |&i| self.contains(i))
+    /// Clears each set bit `i` for which `kills(i)`; `kills` sees only set
+    /// bits.
+    pub(crate) fn clear_where(&mut self, mut kills: impl FnMut(usize) -> bool) {
+        for (w, word) in self.0.iter_mut().enumerate() {
+            let mut bits = *word;
+            while bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if kills(w * 64 + b) {
+                    *word &= !(1 << b);
+                }
+            }
+        }
     }
+}
+
+/// How paths meet where control flow joins.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Meet {
+    /// On every incoming path: intersection, starting from universal.
+    Must,
+    /// On some incoming path: union, starting from empty.
+    May,
+}
+
+/// Forward availability at each block's entry and exit.
+pub(crate) struct Flow {
+    pub(crate) ins: Vec<Avail>,
+    pub(crate) outs: Vec<Avail>,
+}
+
+/// Solves forward availability over `func` to a fixpoint. Every block
+/// starts at the meet's identity; the entry block's IN also meets the
+/// empty boundary (nothing is available on entry). Blocks the entry does
+/// not reach keep the identity.
+pub(crate) fn solve(func: &Function, cfg: &Cfg, ctx: &KillCtx<'_>, meet: Meet) -> Flow {
+    let n = ctx.n();
+    let top = match meet {
+        Meet::Must => Avail::universal(n),
+        Meet::May => Avail::empty(n),
+    };
+    let nb = func.blocks.len();
+    let mut flow = Flow {
+        ins: vec![top.clone(); nb],
+        outs: vec![top.clone(); nb],
+    };
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &b in &cfg.rpo {
+            let bi = b.0 as usize;
+            let mut avail = if bi == 0 {
+                Avail::empty(n)
+            } else {
+                top.clone()
+            };
+            for &p in &cfg.preds[bi] {
+                avail.meet(&flow.outs[p.0 as usize], meet);
+            }
+            flow.ins[bi].clone_from(&avail);
+            for instr in &func.blocks[bi].instrs {
+                transfer(instr, &mut avail, ctx);
+            }
+            if avail != flow.outs[bi] {
+                flow.outs[bi] = avail;
+                changed = true;
+            }
+        }
+    }
+    flow
 }
 
 /// Per-function alias/kill context with memoized queries.
 pub(crate) struct KillCtx<'a> {
     analysis: &'a dyn AliasAnalysis,
+    /// What each call can store, load and reach.
+    pub(crate) modref: &'a ModRef,
     aps: ApTable,
     /// Interesting APs in dense order.
     interesting: Vec<ApId>,
@@ -260,15 +291,7 @@ impl<'a> KillCtx<'a> {
 }
 
 /// Applies the availability transfer function of one instruction.
-pub(crate) fn transfer(
-    instr: &Instr,
-    avail: &mut Avail,
-    ctx: &KillCtx<'_>,
-    prog_types_len: usize,
-    summaries: &dyn Fn(&Instr) -> Vec<Summary>,
-) {
-    let _ = prog_types_len;
-    let n = ctx.n();
+pub(crate) fn transfer(instr: &Instr, avail: &mut Avail, ctx: &KillCtx<'_>) {
     match instr {
         Instr::LoadMem { ap, hidden, .. } if !hidden => {
             if let Some(i) = ctx.idx(*ap) {
@@ -276,43 +299,16 @@ pub(crate) fn transfer(
             }
         }
         Instr::StoreMem { ap, .. } => {
-            let killed: Vec<usize> = avail
-                .iter_set(n)
-                .filter(|&i| ctx.store_kills(*ap, i))
-                .collect();
-            for i in killed {
-                avail.clear(i);
-            }
+            avail.clear_where(|i| ctx.store_kills(*ap, i));
             if let Some(i) = ctx.idx(*ap) {
                 avail.set(i);
             }
         }
         Instr::StoreSlot { addr, .. } => match addr.base {
-            SlotBase::Local(v) => {
-                let killed: Vec<usize> = avail
-                    .iter_set(n)
-                    .filter(|&i| ctx.mentions_var(i, v))
-                    .collect();
-                for i in killed {
-                    avail.clear(i);
-                }
-            }
-            SlotBase::Global(g) => {
-                let killed: Vec<usize> = avail
-                    .iter_set(n)
-                    .filter(|&i| ctx.mentions_global(i, g))
-                    .collect();
-                for i in killed {
-                    avail.clear(i);
-                }
-            }
+            SlotBase::Local(v) => avail.clear_where(|i| ctx.mentions_var(i, v)),
+            SlotBase::Global(g) => avail.clear_where(|i| ctx.mentions_global(i, g)),
         },
-        Instr::StoreInd { .. } => {
-            let killed: Vec<usize> = avail.iter_set(n).filter(|&i| ctx.wild_kills(i)).collect();
-            for i in killed {
-                avail.clear(i);
-            }
-        }
+        Instr::StoreInd { .. } => avail.clear_where(|i| ctx.wild_kills(i)),
         Instr::Call {
             addr_aps,
             addr_slots,
@@ -323,70 +319,20 @@ pub(crate) fn transfer(
             addr_slots,
             ..
         } => {
-            let sums = summaries(instr);
-            let mut kill_idx: HashSet<usize> = HashSet::new();
-            for s in &sums {
-                for &stored in &s.stores {
-                    for i in avail.iter_set(n) {
-                        if ctx.store_kills(stored, i) {
-                            kill_idx.insert(i);
-                        }
-                    }
-                }
-                for &g in &s.stored_globals {
-                    for i in avail.iter_set(n) {
-                        if ctx.mentions_global(i, g) {
-                            kill_idx.insert(i);
-                        }
-                    }
-                }
-                if s.wild_store {
-                    for i in avail.iter_set(n) {
-                        if ctx.wild_kills(i) {
-                            kill_idx.insert(i);
-                        }
-                    }
-                }
-            }
-            for &ap in addr_aps {
-                for i in avail.iter_set(n) {
-                    if ctx.store_kills(ap, i) {
-                        kill_idx.insert(i);
-                    }
-                }
-            }
-            for sb in addr_slots {
-                for i in avail.iter_set(n) {
-                    let hit = match sb {
+            let callees = ctx.modref.callees(instr);
+            avail.clear_where(|i| {
+                callees.clone().any(|s| {
+                    s.stores.iter().any(|&stored| ctx.store_kills(stored, i))
+                        || s.stored_globals.iter().any(|&g| ctx.mentions_global(i, g))
+                        || (s.wild_store && ctx.wild_kills(i))
+                }) || addr_aps.iter().any(|&ap| ctx.store_kills(ap, i))
+                    || addr_slots.iter().any(|sb| match sb {
                         SlotBase::Local(v) => ctx.mentions_var(i, *v),
                         SlotBase::Global(g) => ctx.mentions_global(i, *g),
-                    };
-                    if hit {
-                        kill_idx.insert(i);
-                    }
-                }
-            }
-            for i in kill_idx {
-                avail.clear(i);
-            }
+                    })
+            });
         }
         _ => {}
-    }
-}
-
-pub(crate) fn callee_summaries<'a>(
-    prog: &'a Program,
-    modref: &'a ModRef,
-) -> impl Fn(&Instr) -> Vec<Summary> + 'a {
-    move |instr: &Instr| match instr {
-        Instr::Call { func, .. } => vec![modref.summary(*func).clone()],
-        Instr::CallMethod {
-            method, recv_ty, ..
-        } => method_targets(prog, *recv_ty, method)
-            .into_iter()
-            .map(|f| modref.summary(f).clone())
-            .collect(),
-        _ => Vec::new(),
     }
 }
 
@@ -396,6 +342,7 @@ pub(crate) fn build_ctx<'a>(
     prog: &mut Program,
     fid: FuncId,
     analysis: &'a dyn AliasAnalysis,
+    modref: &'a ModRef,
 ) -> Option<KillCtx<'a>> {
     let mut interesting: Vec<ApId> = Vec::new();
     {
@@ -439,6 +386,7 @@ pub(crate) fn build_ctx<'a>(
         .collect();
     Some(KillCtx {
         analysis,
+        modref,
         aps: prog.aps.clone(),
         interesting,
         index,
@@ -454,18 +402,20 @@ fn rle_function(
     analysis: &dyn AliasAnalysis,
     modref: &ModRef,
 ) -> RleStats {
-    let Some(ctx) = build_ctx(prog, fid, analysis) else {
+    let Some(ctx) = build_ctx(prog, fid, analysis, modref) else {
         return RleStats::default();
     };
-    let mut stats = RleStats::default();
-    stats.hoisted += licm(prog, fid, &ctx, modref);
-    stats.eliminated += cse(prog, fid, &ctx, modref);
-    stats
+    let hoisted = licm(prog, fid, &ctx);
+    let eliminated = cse(prog, fid, &ctx);
+    RleStats {
+        hoisted,
+        eliminated,
+    }
 }
 
 // ---- loop-invariant load motion --------------------------------------------
 
-fn licm(prog: &mut Program, fid: FuncId, ctx: &KillCtx<'_>, modref: &ModRef) -> usize {
+fn licm(prog: &mut Program, fid: FuncId, ctx: &KillCtx<'_>) -> usize {
     let mut hoisted_total = 0;
     // Re-run until no loop has hoistable loads (hoisting changes the CFG).
     for _round in 0..64 {
@@ -473,7 +423,7 @@ fn licm(prog: &mut Program, fid: FuncId, ctx: &KillCtx<'_>, modref: &ModRef) -> 
         let loops = cfg.natural_loops();
         let mut moved = false;
         for lp in &loops {
-            let positions = hoistable_positions(prog, fid, &cfg, lp, ctx, modref);
+            let positions = hoistable_positions(prog, fid, &cfg, lp, ctx);
             if positions.is_empty() {
                 continue;
             }
@@ -484,9 +434,6 @@ fn licm(prog: &mut Program, fid: FuncId, ctx: &KillCtx<'_>, modref: &ModRef) -> 
             let mut by_block: HashMap<BlockId, Vec<usize>> = HashMap::new();
             for &(b, i) in &positions {
                 by_block.entry(b).or_default().push(i);
-            }
-            for &(b, i) in &positions {
-                let _ = (b, i);
             }
             // positions are already in dominance order (rpo, idx).
             for &(b, i) in &positions {
@@ -521,10 +468,8 @@ fn hoistable_positions(
     cfg: &Cfg,
     lp: &NaturalLoop,
     ctx: &KillCtx<'_>,
-    modref: &ModRef,
 ) -> Vec<(BlockId, usize)> {
     let func = prog.func(fid);
-    let summaries = callee_summaries(prog, modref);
 
     // Gather loop-wide kill facts.
     let mut stored_aps: Vec<ApId> = Vec::new();
@@ -571,7 +516,7 @@ fn hoistable_positions(
                             }
                         }
                     }
-                    for s in summaries(instr) {
+                    for s in ctx.modref.callees(instr) {
                         stored_aps.extend(s.stores.iter().copied());
                         stored_globals.extend(s.stored_globals.iter().copied());
                         wild |= s.wild_store;
@@ -625,13 +570,8 @@ fn hoistable_positions(
                             && (func.vars[v.0 as usize].class == VarClass::Register
                                 || (!wild && !has_call))
                     }
-                    SlotBase::Global(g) => {
-                        !stored_globals.contains(&g) && !wild && {
-                            // calls may store globals; summaries already added
-                            // them to stored_globals
-                            true
-                        }
-                    }
+                    // A call's stored globals are already in `stored_globals`.
+                    SlotBase::Global(g) => !stored_globals.contains(&g) && !wild,
                 },
                 Instr::Copy { src, .. } => operand_ok(src, &hoisted_regs, &defs_in_loop),
                 Instr::Un { src, .. } => operand_ok(src, &hoisted_regs, &defs_in_loop),
@@ -735,73 +675,9 @@ fn hoistable_positions(
 
 // ---- available-load CSE -----------------------------------------------------
 
-fn cse(prog: &mut Program, fid: FuncId, ctx: &KillCtx<'_>, modref: &ModRef) -> usize {
-    let n = ctx.n();
+fn cse(prog: &mut Program, fid: FuncId, ctx: &KillCtx<'_>) -> usize {
     let cfg = Cfg::new(prog.func(fid));
-    // Precompute method-call summaries so the transfer closure does not
-    // borrow `prog` (which the rewrite pass mutates).
-    let mut method_sums: HashMap<(u32, String), Vec<Summary>> = HashMap::new();
-    for b in &prog.func(fid).blocks {
-        for instr in &b.instrs {
-            if let Instr::CallMethod {
-                recv_ty, method, ..
-            } = instr
-            {
-                method_sums
-                    .entry((recv_ty.0, method.clone()))
-                    .or_insert_with(|| {
-                        method_targets(prog, *recv_ty, method)
-                            .into_iter()
-                            .map(|f| modref.summary(f).clone())
-                            .collect()
-                    });
-            }
-        }
-    }
-    let summaries = move |instr: &Instr| -> Vec<Summary> {
-        match instr {
-            Instr::Call { func, .. } => vec![modref.summary(*func).clone()],
-            Instr::CallMethod {
-                recv_ty, method, ..
-            } => method_sums
-                .get(&(recv_ty.0, method.clone()))
-                .cloned()
-                .unwrap_or_default(),
-            _ => Vec::new(),
-        }
-    };
-    let nb = prog.func(fid).blocks.len();
-
-    // Forward dataflow: IN/OUT availability per block.
-    let mut ins: Vec<Avail> = (0..nb).map(|_| Avail::universal(n)).collect();
-    let mut outs: Vec<Avail> = (0..nb).map(|_| Avail::universal(n)).collect();
-    ins[0] = Avail::empty(n);
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in &cfg.rpo {
-            let bi = b.0 as usize;
-            let mut inset = if bi == 0 {
-                Avail::empty(n)
-            } else {
-                let mut acc = Avail::universal(n);
-                for &p in &cfg.preds[bi] {
-                    acc.intersect_assign(&outs[p.0 as usize]);
-                }
-                acc
-            };
-            if inset != ins[bi] {
-                ins[bi] = inset.clone();
-            }
-            for instr in &prog.func(fid).blocks[bi].instrs {
-                transfer(instr, &mut inset, ctx, 0, &summaries);
-            }
-            if inset != outs[bi] {
-                outs[bi] = inset;
-                changed = true;
-            }
-        }
-    }
+    let ins = solve(prog.func(fid), &cfg, ctx, Meet::Must).ins;
 
     // Dry pass: which APs are ever reused?
     let mut reuse: HashSet<usize> = HashSet::new();
@@ -819,7 +695,7 @@ fn cse(prog: &mut Program, fid: FuncId, ctx: &KillCtx<'_>, modref: &ModRef) -> u
                     }
                 }
             }
-            transfer(instr, &mut avail, ctx, 0, &summaries);
+            transfer(instr, &mut avail, ctx);
         }
     }
     if reuse.is_empty() {
@@ -875,7 +751,7 @@ fn cse(prog: &mut Program, fid: FuncId, ctx: &KillCtx<'_>, modref: &ModRef) -> u
                         }
                     }
                     let dst = *dst;
-                    transfer(&instr, &mut avail, ctx, 0, &summaries);
+                    transfer(&instr, &mut avail, ctx);
                     new_instrs.push(instr);
                     if let Some(i) = idx {
                         if let Some(&sv) = scratch.get(&i) {
@@ -889,7 +765,7 @@ fn cse(prog: &mut Program, fid: FuncId, ctx: &KillCtx<'_>, modref: &ModRef) -> u
                 Instr::StoreMem { ap, src, .. } => {
                     let idx = ctx.idx(*ap);
                     let src = *src;
-                    transfer(&instr, &mut avail, ctx, 0, &summaries);
+                    transfer(&instr, &mut avail, ctx);
                     new_instrs.push(instr);
                     if let Some(i) = idx {
                         if let Some(&sv) = scratch.get(&i) {
@@ -901,7 +777,7 @@ fn cse(prog: &mut Program, fid: FuncId, ctx: &KillCtx<'_>, modref: &ModRef) -> u
                     }
                 }
                 _ => {
-                    transfer(&instr, &mut avail, ctx, 0, &summaries);
+                    transfer(&instr, &mut avail, ctx);
                     new_instrs.push(instr);
                 }
             }

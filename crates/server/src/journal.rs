@@ -421,40 +421,12 @@ impl Journal {
         let errors = metrics.counter("journal.errors");
         let append_us = metrics.histogram("journal.append_us");
 
-        // Rewrite compacted: a mark preserving the id watermark, then
-        // the live loads renumbered from seq 2. Dropping superseded or
-        // torn bytes on open counts as a compaction.
+        // Rewrite compacted. Dropping superseded or torn bytes on open
+        // counts as a compaction.
         let compacted = scanned.torn
             || scanned.dup_skipped > 0
             || scanned.records.len() > live.len() + 1;
-        let mut next_seq = 1u64;
-        let mut buf: Vec<u8> = Vec::with_capacity(existing.len().min(1 << 20));
-        buf.extend_from_slice(MAGIC);
-        if max_sid > 0 {
-            encode_record(
-                &Record {
-                    seq: next_seq,
-                    op: RecordOp::Mark {
-                        next_sid: max_sid + 1,
-                    },
-                },
-                &mut buf,
-            );
-            next_seq += 1;
-        }
-        for load in &live {
-            encode_record(
-                &Record {
-                    seq: next_seq,
-                    op: RecordOp::Load {
-                        sid: load.sid.clone(),
-                        line: load.line.clone(),
-                    },
-                },
-                &mut buf,
-            );
-            next_seq += 1;
-        }
+        let (buf, next_seq) = compacted_image(&live, max_sid);
         let file = replace_file_durably(dir, &path, &buf)?;
         bytes.add(buf.len() as u64);
         if compacted {
@@ -467,7 +439,7 @@ impl Journal {
                 file,
                 next_seq,
                 max_sid,
-                records: live.len() as u64 + u64::from(max_sid > 0),
+                records: next_seq - 1,
                 live: live.clone(),
                 unsynced: 0,
             }),
@@ -587,40 +559,13 @@ impl Journal {
         if st.records < COMPACT_MIN_RECORDS || st.live.len() as u64 * 2 >= st.records {
             return;
         }
-        let mut buf: Vec<u8> = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        let mut next_seq = 1u64;
-        if st.max_sid > 0 {
-            encode_record(
-                &Record {
-                    seq: next_seq,
-                    op: RecordOp::Mark {
-                        next_sid: st.max_sid + 1,
-                    },
-                },
-                &mut buf,
-            );
-            next_seq += 1;
-        }
-        for load in &st.live {
-            encode_record(
-                &Record {
-                    seq: next_seq,
-                    op: RecordOp::Load {
-                        sid: load.sid.clone(),
-                        line: load.line.clone(),
-                    },
-                },
-                &mut buf,
-            );
-            next_seq += 1;
-        }
+        let (buf, next_seq) = compacted_image(&st.live, st.max_sid);
         let dir = self.path.parent().expect("journal path has a parent");
         match replace_file_durably(dir, &self.path, &buf) {
             Ok(file) => {
                 st.file = file;
                 st.next_seq = next_seq;
-                st.records = st.live.len() as u64 + u64::from(st.max_sid > 0);
+                st.records = next_seq - 1;
                 st.unsynced = 0;
                 self.compactions.inc();
                 self.bytes.add(buf.len() as u64);
@@ -635,6 +580,26 @@ impl Drop for Journal {
     fn drop(&mut self) {
         self.sync();
     }
+}
+
+/// The compacted journal image: the magic, then a mark preserving the
+/// session-id watermark (when any id was minted), then the `live` loads,
+/// numbered from seq 1. Returns the image and the next free seq.
+fn compacted_image(live: &[LiveLoad], max_sid: u64) -> (Vec<u8>, u64) {
+    let mark = (max_sid > 0).then_some(RecordOp::Mark {
+        next_sid: max_sid + 1,
+    });
+    let loads = live.iter().map(|load| RecordOp::Load {
+        sid: load.sid.clone(),
+        line: load.line.clone(),
+    });
+    let mut buf = MAGIC.to_vec();
+    let mut next_seq = 1u64;
+    for op in mark.into_iter().chain(loads) {
+        encode_record(&Record { seq: next_seq, op }, &mut buf);
+        next_seq += 1;
+    }
+    (buf, next_seq)
 }
 
 /// Durably replaces the journal file with `buf` and returns a fresh

@@ -21,7 +21,7 @@
 //! ```text
 //! → {"op":"load","bench":"ktree","scale":2}
 //! ← {"ok":true,"session":"s1","key":"bench:ktree@2","cached":false,...}
-//! → {"op":"alias","session":"s1","pairs":[["n.left","n.right"],["n.left","m.key"]]}
+//! → {"op":"alias","session":"s1","pairs":[["n.keys[?1]","n.keys[v2]"],["n.keys[?1]","n.leaf"]]}
 //! ← {"ok":true,"session":"s1","level":"SMFieldTypeRefs","world":"Closed","results":[true,false]}
 //! ```
 //!
@@ -56,7 +56,7 @@
 //!   router, and the integration tests.
 //!
 //! Run it: `tbaad --addr 127.0.0.1:4980` (or `tbaac serve`), then
-//! `tbaac query --bench ktree alias n.left n.right`.
+//! `tbaac query --bench ktree alias 'n.keys[?1]' 'n.keys[v2]'`.
 
 pub mod cli;
 pub mod client;

@@ -766,9 +766,11 @@ impl<'p, 'h> Interp<'p, 'h> {
     }
 
     fn resolve_method(&self, ty: TypeId, method: &str) -> Result<FuncId, RuntimeError> {
-        for t in self.prog.types.ancestry(ty) {
-            if let Some(&f) = self.prog.method_impls.get(&(t, method.to_string())) {
-                return Ok(f);
+        if let Some(impls) = self.prog.method_impls.get(method) {
+            for t in self.prog.types.ancestry(ty) {
+                if let Some(&f) = impls.get(&t) {
+                    return Ok(f);
+                }
             }
         }
         Err(RuntimeError::NoMethod(method.to_string()))

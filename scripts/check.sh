@@ -13,11 +13,11 @@ cargo test -q --workspace
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo clippy perf lints (enforcing for the compile pipeline crates)"
-cargo clippy -p tbaa-ir -p tbaa-incr --all-targets -- -D warnings -D clippy::perf
+echo "== cargo clippy perf lints (enforcing for the compile pipeline and optimizer crates)"
+cargo clippy -p tbaa-ir -p tbaa-incr -p tbaa-opt --all-targets -- -D warnings -D clippy::perf
 
-echo "== rustfmt (enforcing for the compile pipeline crates)"
-cargo fmt -p tbaa-ir -p tbaa-incr -- --check
+echo "== rustfmt (enforcing for the compile pipeline and optimizer crates)"
+cargo fmt -p tbaa-ir -p tbaa-incr -p tbaa-opt -- --check
 
 echo "== cargo clippy perf lints (advisory elsewhere: reported, never fails the gate)"
 cargo clippy --workspace --all-targets -- -W clippy::perf || true
